@@ -7,6 +7,7 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 
@@ -18,7 +19,8 @@ from .errors import ConfigError, FormatError, NumericError, ShapeError
 class Tensor:
     """An f64 array node in the computation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -42,17 +44,20 @@ class Tensor:
     def backward(self):
         if self.data.size != 1:
             raise ShapeError("backward() requires a scalar")
-        topo, seen = [], set()
-
-        def visit(t):
-            if id(t) in seen:
-                return
-            seen.add(id(t))
-            for p in t._parents:
-                visit(p)
-            topo.append(t)
-
-        visit(self)
+        # depth-first post-order, as a recursive walk would give, but with no
+        # self-referencing closure to keep the graph alive after returning
+        topo, seen = [], {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for p in parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append((p, iter(p._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         self.grad = np.ones_like(self.data)
         for t in reversed(topo):
             if t._backward is not None and t.grad is not None:
@@ -215,12 +220,6 @@ def tsum(x, axis=None):
                 x._accumulate(np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
 
     return _node(x.data.sum(axis=axis), (x,), backward)
-
-
-def tmean(x, axis=None):
-    x = _as_tensor(x)
-    n = x.data.size if axis is None else x.data.shape[axis]
-    return mul(tsum(x, axis=axis), 1.0 / n)
 
 
 def repeat_rows(x, times: int):
@@ -468,10 +467,43 @@ class BatchNormState:
 
 
 # ---------------------------------------------------------------------------
+# Modules
+# ---------------------------------------------------------------------------
+
+class Module:
+    """A layer that owns Tensors, other modules, or lists of modules.
+
+    Names come from a walk over the instance's attributes in definition
+    order: Tensor attribute `w` is `w`, a child module's names get `<attr>.`
+    in front, and the i-th module of a list attribute gets `<attr><i>.`.
+    """
+
+    renames: dict[str, str] = {}  # attribute -> name used in its place
+
+    def named(self, kind, prefix: str = "") -> dict:
+        """{name: value} for every attribute of type `kind` in the tree."""
+        out = {}
+        for attr, value in vars(self).items():
+            name = prefix + self.renames.get(attr, attr)
+            if isinstance(value, kind):
+                out[name] = value
+            elif isinstance(value, Module):
+                out.update(value.named(kind, name + "."))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out.update(item.named(kind, f"{name}{i}."))
+        return out
+
+    def parameters(self) -> dict[str, Tensor]:
+        return self.named(Tensor)
+
+
+# ---------------------------------------------------------------------------
 # Attention / transformer
 # ---------------------------------------------------------------------------
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Standard multi-head scaled dot-product attention with projections."""
 
     def __init__(self, dim: int, heads: int, rng):
@@ -486,10 +518,6 @@ class MultiHeadAttention:
         self.bk = Tensor(np.zeros(dim), requires_grad=True)
         self.bv = Tensor(np.zeros(dim), requires_grad=True)
         self.bo = Tensor(np.zeros(dim), requires_grad=True)
-
-    def parameters(self):
-        return {"wq": self.wq, "wk": self.wk, "wv": self.wv, "wo": self.wo,
-                "bq": self.bq, "bk": self.bk, "bv": self.bv, "bo": self.bo}
 
     def __call__(self, q_in, k_in, v_in):
         dh = self.dim // self.heads
@@ -515,7 +543,7 @@ def sinusoidal_positions(t: int, dim: int) -> np.ndarray:
     return pe
 
 
-class TransformerEncoderLayer:
+class TransformerEncoderLayer(Module):
     """Pre-norm encoder layer with sinusoidal positions added on entry."""
 
     def __init__(self, dim: int, heads: int, ffn_dim: int, rng):
@@ -530,13 +558,6 @@ class TransformerEncoderLayer:
         self.ln1_b = Tensor(np.zeros(dim), requires_grad=True)
         self.ln2_g = Tensor(np.ones(dim), requires_grad=True)
         self.ln2_b = Tensor(np.zeros(dim), requires_grad=True)
-
-    def parameters(self):
-        params = {f"mha.{k}": v for k, v in self.mha.parameters().items()}
-        params.update({"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                       "ln1_g": self.ln1_g, "ln1_b": self.ln1_b,
-                       "ln2_g": self.ln2_g, "ln2_b": self.ln2_b})
-        return params
 
     def __call__(self, x, add_positions: bool = True):
         if add_positions:
@@ -625,7 +646,11 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray], hyper: dict) -> None:
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    with open(path, "rb") as fh:
+    """Read a save_checkpoint file; unreadable input raises FormatError."""
+    try:
+        with open(path, "rb") as raw:
+            # a corrupt length field reads short here instead of allocating
+            fh = io.BytesIO(raw.read())
         if fh.read(4) != _CKPT_MAGIC:
             raise FormatError(f"{path}: not a checkpoint file")
         (version,) = struct.unpack("<I", fh.read(4))
@@ -633,6 +658,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise FormatError(f"{path}: unsupported version {version}")
         (blen,) = struct.unpack("<I", fh.read(4))
         hyper = json.loads(fh.read(blen).decode("utf-8"))
+        if not isinstance(hyper, dict):
+            raise FormatError(f"{path}: hyper-parameters are not a JSON object")
         (count,) = struct.unpack("<I", fh.read(4))
         arrays = {}
         for _ in range(count):
@@ -645,6 +672,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             if data.size != n:
                 raise FormatError(f"{path}: truncated record {name}")
             arrays[name] = data.reshape(shape).copy()
+    except (OSError, struct.error, ValueError) as exc:  # ValueError: JSON, UTF-8
+        raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
     return arrays, hyper
 
 

@@ -7,21 +7,17 @@ Logs go to stderr; data goes to files or stdout. Every command honors
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import logging
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import autodiff as ad
 from . import bench as bench_mod
 from . import fewshot, gradcheck, train
 from .dsp import extract_features, write_features
 from .errors import FsedError
-from .evaluate import Event, EventList, fscore, match_events
+from .evaluate import Event, EventList, decode_events, fscore, match_events
 from .framing import ClassMap
 from .ingest import (RunConfig, SynthSpec, load_config, make_support_task,
                      read_annotations, read_annotations_by_file, read_wav,
@@ -89,35 +85,17 @@ def cmd_finetune(args) -> int:
     clip = read_wav(args.task)
     task = make_support_task(clip, read_annotations(_task_csv(args.task)))
     task_model, _ = fewshot.adapt(pretrained, clip, task, cfg, seed=cfg.seed)
-    arrays = task_model.model.state_arrays()
-    if task_model.sfbc_center is not None:
-        arrays["sfbc_center"] = task_model.sfbc_center
-    hyper = task_model.model.hyper()
-    hyper.update({"multitask": cfg.multitask,
-                  "use_transformer": cfg.use_transformer})
-    ad.save_checkpoint(args.out, arrays, hyper)
+    task_model.save(args.out)
     log.info("wrote task checkpoint %s", args.out)
     return 0
 
 
 def cmd_detect(args) -> int:
-    from .evaluate import decode_events
-
-    cfg = _config(args)
-    arrays, hyper = ad.load_checkpoint(args.task_ckpt)
-    cfg = dataclasses.replace(
-        cfg, channels=int(hyper["channels"]), embed_dim=int(hyper["embed_dim"]),
-        heads=int(hyper["heads"]), ffn_dim=int(hyper["ffn_dim"]),
-        mel_bands=int(hyper["mel_bands"]), win_frames=int(hyper["win_frames"]),
-        multitask=bool(hyper.get("multitask", True)),
-        use_transformer=bool(hyper.get("use_transformer", True)))
-    model = ModelParams(cfg, int(hyper["n_classes"]))
-    model.load_arrays(arrays)
-    center = arrays.get("sfbc_center")
+    task_model = fewshot.TaskModel.load(args.task_ckpt, _config(args))
+    cfg = task_model.cfg
     clip = read_wav(args.task)
     task = make_support_task(clip, read_annotations(_task_csv(args.task)))
     ctx = fewshot.build_task_context(clip, task, cfg)
-    task_model = fewshot.TaskModel(model=model, sfbc_center=center, cfg=cfg)
     probs = fewshot.detect(task_model, ctx)
     events = decode_events(probs, ctx.frame_period_s, cfg.threshold,
                            cfg.min_dur_s, cfg.merge_gap_s, cfg.median_width,
@@ -228,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="end-to-end synthetic benchmark")
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--full-only", action="store_true",
                    help="skip the ablation rows")
     p.set_defaults(fn=cmd_bench)

@@ -7,6 +7,7 @@ pretrained weights, seeded end to end.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -249,6 +250,11 @@ def time_filter_aug(window: np.ndarray, spec: AugSpec, rng,
 # Fine-tuning
 # ---------------------------------------------------------------------------
 
+# parameter-name prefixes each fine-tuning stage trains; the rest is frozen
+SED_TRAINABLE = ("block2.", "block3.", "decoder_sed.", "decoder_bin.")
+SFBC_TRAINABLE = ("decoder_sfbc.",)
+
+
 @dataclass
 class TaskModel:
     """Fine-tuned weights plus the SFBC conditioning center for one task."""
@@ -256,6 +262,26 @@ class TaskModel:
     model: M.ModelParams
     sfbc_center: np.ndarray | None
     cfg: RunConfig
+    FLAGS = ("multitask", "use_transformer")  # RunConfig flags it records
+
+    def save(self, path) -> None:
+        """The model's state, `sfbc_center` if any, and the branch flags."""
+        arrays = self.model.state_arrays()
+        if self.sfbc_center is not None:
+            arrays["sfbc_center"] = self.sfbc_center
+        hyper = self.model.hyper()
+        hyper.update({k: getattr(self.cfg, k) for k in self.FLAGS})
+        ad.save_checkpoint(path, arrays, hyper)
+
+    @classmethod
+    def load(cls, path, cfg: RunConfig) -> "TaskModel":
+        """Read a `save` file; architecture and branch flags override `cfg`."""
+        arrays, hyper = ad.load_checkpoint(path)
+        cfg = dataclasses.replace(
+            cfg, **{k: bool(hyper.get(k, True)) for k in cls.FLAGS})
+        model = M.ModelParams.from_arrays(arrays, hyper, cfg, path)
+        return cls(model=model, sfbc_center=arrays.get("sfbc_center"),
+                   cfg=model.cfg)
 
 
 def clone_model(model: M.ModelParams) -> M.ModelParams:
@@ -264,23 +290,14 @@ def clone_model(model: M.ModelParams) -> M.ModelParams:
     return copy
 
 
-def _set_trainable(model: M.ModelParams, names) -> None:
-    """Freeze every parameter not in `names` (prunes backward work too)."""
-    for k, p in model.parameters().items():
-        p.requires_grad = k in names
-
-
-def _sed_trainable(model: M.ModelParams) -> dict[str, ad.Tensor]:
-    """Three decoders + the last two backbone conv blocks."""
-    params = {}
-    for i in (2, 3):
-        params.update({f"block{i}.{k}": v
-                       for k, v in model.blocks[i].parameters().items()})
-    params.update({f"decoder_sed.{k}": v
-                   for k, v in model.decoder_sed.parameters().items()})
-    params.update({f"decoder_bin.{k}": v
-                   for k, v in model.decoder_bin.parameters().items()})
-    return params
+def _trainable(model: M.ModelParams, prefixes: tuple[str, ...]
+               ) -> dict[str, ad.Tensor]:
+    """Freeze every parameter outside `prefixes` (prunes backward work too)
+    and return the trainable ones."""
+    params = model.parameters()
+    for k, p in params.items():
+        p.requires_grad = k.startswith(prefixes)
+    return {k: p for k, p in params.items() if p.requires_grad}
 
 
 def graft_background_row(model: M.ModelParams, center: np.ndarray,
@@ -306,6 +323,14 @@ def _binary_ce(model, window_feats, labels, mask, win_len):
     return ad.masked_softmax_ce(logits, labels, mask), emb
 
 
+def _mean_loss(losses: list[ad.Tensor]) -> ad.Tensor:
+    """Sum left to right, then scale by 1/len."""
+    total = losses[0]
+    for l in losses[1:]:
+        total = ad.add(total, l)
+    return ad.mul(total, 1.0 / len(losses))
+
+
 def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
                  base_windows: list[WindowBatch], cfg: RunConfig,
                  seed: int) -> None:
@@ -314,9 +339,7 @@ def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
     at cfg.aug_start_iter."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5ED1]))
     pool = supports.support1 + supports.support2
-    trainable = _sed_trainable(model)
-    _set_trainable(model, set(trainable))
-    optimizer = ad.Adam(trainable, lr=cfg.lr_sed)
+    optimizer = ad.Adam(_trainable(model, SED_TRAINABLE), lr=cfg.lr_sed)
     aug = AugSpec.from_config(cfg)
     win = cfg.win_frames
     for it in range(cfg.iters):
@@ -340,19 +363,20 @@ def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
             mask = bw.train_mask * (bw.sed_labels != 0)
             if mask.any():
                 losses.append(ad.masked_softmax_ce(sed_logits, bw.sed_labels, mask))
-        total = losses[0]
-        for l in losses[1:]:
-            total = ad.add(total, l)
-        ad.mul(total, 1.0 / len(losses)).backward()
+        _mean_loss(losses).backward()
         optimizer.step()
+
+
+def positive_prob(logits: np.ndarray) -> np.ndarray:
+    """POS column of the row-wise softmax of [T x 2] logits."""
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return (e / e.sum(axis=1, keepdims=True))[:, 1]
 
 
 def _bin_probs(model: M.ModelParams, feats: np.ndarray, win: int) -> np.ndarray:
     emb = M.backbone_forward(model, feats, training=False)
-    logits = M.bin_forward(model, emb, win).data
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return (e / e.sum(axis=1, keepdims=True))[:, 1]
+    return positive_prob(M.bin_forward(model, emb, win).data)
 
 
 def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
@@ -362,6 +386,7 @@ def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x95E0]))
     stats = {"cycles_run": 0, "cycles_skipped": 0}
     win = cfg.win_frames
+    trainable = _trainable(model, SED_TRAINABLE)
     for _ in range(cfg.pseudo_cycles):
         labeled = []
         for w in query_windows:
@@ -374,8 +399,6 @@ def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
         if not labeled:
             stats["cycles_skipped"] += 1
             continue
-        trainable = _sed_trainable(model)
-        _set_trainable(model, set(trainable))
         optimizer = ad.Adam(trainable, lr=cfg.lr_sed)
         for _ in range(cfg.pseudo_iters):
             optimizer.zero_grad()
@@ -411,16 +434,14 @@ def finetune_sfbc(model: M.ModelParams, supports: ReconstructedSupports,
     if center is None or not supports.support2:
         return None
     win = cfg.win_frames
-    params = {f"decoder_sfbc.{k}": v
-              for k, v in model.decoder_sfbc.parameters().items()}
-    _set_trainable(model, set(params))
+    params = _trainable(model, SFBC_TRAINABLE)
     # everything upstream of the decoder is frozen: precompute token features
     precomputed = []
     for w in supports.support2:
         emb = M.backbone_forward(model, w.features, training=False)
         tokens = M.sfbc_tokens(model, emb, ad.Tensor(center))
         if cfg.use_transformer:
-            tokens = model.tf_layer(tokens)
+            tokens = model.tf(tokens)
         precomputed.append((tokens.data, w.sfbc_labels, w.train_mask))
     optimizer = ad.Adam(params, lr=cfg.lr_sfbc)
     for _ in range(cfg.iters):
@@ -430,10 +451,7 @@ def finetune_sfbc(model: M.ModelParams, supports: ReconstructedSupports,
             logits = ad.repeat_upsample(model.decoder_sfbc(ad.Tensor(tokens)),
                                         M.TIME_REDUCTION, win)
             losses.append(ad.masked_softmax_ce(logits, labels, mask))
-        total = losses[0]
-        for l in losses[1:]:
-            total = ad.add(total, l)
-        ad.mul(total, 1.0 / len(losses)).backward()
+        _mean_loss(losses).backward()
         optimizer.step()
     return center
 
@@ -448,7 +466,7 @@ def adapt(pretrained: M.ModelParams, clip: AudioClip, task: SupportTask,
           ) -> tuple[TaskModel, TaskContext]:
     """Full per-task adaptation pipeline on a private copy of the weights."""
     model = clone_model(pretrained)
-    _set_trainable(model, set())  # inference-only until fine-tuning starts
+    _trainable(model, ())  # inference-only until fine-tuning starts
     ctx = build_task_context(clip, task, cfg)
     shots = [shot_embedding(model, ctx.features, r, cfg) for r in ctx.pos_ranges]
     center = pos_center(shots)
@@ -485,19 +503,14 @@ def detect(task_model: TaskModel, ctx: TaskContext) -> np.ndarray:
     cnt = np.zeros(t)
     for w in ctx.query_windows:
         emb = M.backbone_forward(model, w.features, training=False)
-        logits = M.bin_forward(model, emb, win).data
-        z = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(z)
-        p = (e / e.sum(axis=1, keepdims=True))[:, 1]
+        p = positive_prob(M.bin_forward(model, emb, win).data)
         if cfg.multitask and task_model.sfbc_center is not None:
             tokens = M.sfbc_tokens(model, emb, ad.Tensor(task_model.sfbc_center))
             if cfg.use_transformer:
-                tokens = model.tf_layer(tokens)
+                tokens = model.tf(tokens)
             sl = ad.repeat_upsample(model.decoder_sfbc(tokens),
                                     M.TIME_REDUCTION, win).data
-            z2 = sl - sl.max(axis=1, keepdims=True)
-            e2 = np.exp(z2)
-            p = 0.5 * (p + (e2 / e2.sum(axis=1, keepdims=True))[:, 1])
+            p = 0.5 * (p + positive_prob(sl))
         n = w.valid_frames
         a = w.window_start_frame
         acc[a:a + n] += p[:n]

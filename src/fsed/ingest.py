@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import wave
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -45,7 +46,8 @@ class AnnotationEvent:
     label: str
 
     def __post_init__(self):
-        if not (0.0 <= self.onset_s < self.offset_s):
+        # also rejects NaN and infinite times
+        if not (0.0 <= self.onset_s < self.offset_s < math.inf):
             raise ValidationError(
                 f"bad event times: onset={self.onset_s} offset={self.offset_s}"
             )
@@ -234,50 +236,36 @@ def read_annotations(path) -> list[AnnotationEvent]:
 
 
 def parse_annotations(fh: io.TextIOBase, name="<csv>") -> list[AnnotationEvent]:
+    return [event for _, event in _annotation_rows(fh, name)]
+
+
+def read_annotations_by_file(path) -> dict[str, list[AnnotationEvent]]:
+    """Like read_annotations, grouped by the Audiofilename column."""
+    groups: dict[str, list[AnnotationEvent]] = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for filename, event in _annotation_rows(fh, str(path)):
+            groups.setdefault(filename, []).append(event)
+    return groups
+
+
+def _annotation_rows(fh: io.TextIOBase, name: str):
+    """(Audiofilename, event) for every row that is not NEG or UNK."""
     reader = csv.DictReader(fh)
     if reader.fieldnames is None or any(
         c not in reader.fieldnames for c in _REQUIRED_COLUMNS
     ):
         raise FormatError(f"{name}: header must contain {', '.join(_REQUIRED_COLUMNS)}")
-    events = []
     for rownum, row in enumerate(reader, 2):
         q = row["Q"].strip()
         if q in ("NEG", "UNK"):
             continue
         try:
-            onset = float(row["Starttime"])
-            offset = float(row["Endtime"])
+            event = AnnotationEvent(float(row["Starttime"]), float(row["Endtime"]), q)
         except ValueError as exc:
             raise FormatError(f"{name}: row {rownum}: {exc}") from exc
-        if not (0.0 <= onset < offset):
-            raise ValidationError(
-                f"{name}: row {rownum}: onset {onset} must be < offset {offset}"
-            )
-        events.append(AnnotationEvent(onset, offset, q))
-    return events
-
-
-def read_annotations_by_file(path) -> dict[str, list[AnnotationEvent]]:
-    """Like read_annotations, grouped by the Audiofilename column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(
-            c not in reader.fieldnames for c in _REQUIRED_COLUMNS
-        ):
-            raise FormatError(
-                f"{path}: header must contain {', '.join(_REQUIRED_COLUMNS)}")
-        groups: dict[str, list[AnnotationEvent]] = {}
-        for rownum, row in enumerate(reader, 2):
-            q = row["Q"].strip()
-            if q in ("NEG", "UNK"):
-                continue
-            onset, offset = float(row["Starttime"]), float(row["Endtime"])
-            if not (0.0 <= onset < offset):
-                raise ValidationError(
-                    f"{path}: row {rownum}: onset {onset} must be < offset {offset}")
-            groups.setdefault(row["Audiofilename"], []).append(
-                AnnotationEvent(onset, offset, q))
-    return groups
+        except ValidationError as exc:
+            raise ValidationError(f"{name}: row {rownum}: {exc}") from exc
+        yield row["Audiofilename"], event
 
 
 def make_support_task(clip: AudioClip, events: list[AnnotationEvent]) -> SupportTask:

@@ -7,12 +7,13 @@ by repeating each reduced-frame row (repeat-upsampling).
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import SelectionError, ShapeError
+from .errors import FormatError, SelectionError, ShapeError
 from .framing import WindowBatch
 from .ingest import RunConfig
 
@@ -26,7 +27,7 @@ def reduced_time(t: int) -> int:
     return math.ceil(math.ceil(t / 2) / 2)
 
 
-class ConvBlock:
+class ConvBlock(ad.Module):
     """conv 3x3 (same pad) + BN + ReLU, then ceil-mode max pooling."""
 
     def __init__(self, cin: int, cout: int, pool, rng):
@@ -39,9 +40,6 @@ class ConvBlock:
         self.bn_state = ad.BatchNormState(cout)
         self.pool = pool
 
-    def parameters(self):
-        return {"w": self.w, "b": self.b, "gamma": self.gamma, "beta": self.beta}
-
     def __call__(self, x, training: bool):
         x = ad.conv2d(x, self.w, self.b)
         x = ad.batchnorm2d(x, self.gamma, self.beta, self.bn_state, training)
@@ -51,22 +49,33 @@ class ConvBlock:
         return x
 
 
-class Linear:
+class Linear(ad.Module):
     def __init__(self, cin: int, cout: int, rng):
         scale = np.sqrt(2.0 / (cin + cout))
         self.w = ad.Tensor(rng.normal(0, scale, size=(cin, cout)),
                            requires_grad=True)
         self.b = ad.Tensor(np.zeros(cout), requires_grad=True)
 
-    def parameters(self):
-        return {"w": self.w, "b": self.b}
-
     def __call__(self, x):
         return ad.linear(x, self.w, self.b)
 
 
-class ModelParams:
+# RunConfig fields that fix the weights' shapes; a checkpoint records them
+ARCH_KEYS = ("channels", "embed_dim", "heads", "ffn_dim", "mel_bands", "win_frames")
+
+
+def _checked(arrays: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
+    if name not in arrays:
+        raise FormatError(f"checkpoint missing {name}")
+    if arrays[name].shape != shape:
+        raise FormatError(f"checkpoint shape mismatch for {name}")
+    return arrays[name].astype(np.float64)
+
+
+class ModelParams(ad.Module):
     """All learnable weights: backbone, transformer layer, three decoders."""
+
+    renames = {"blocks": "block"}  # parameters block0.w, block1.w, ...
 
     def __init__(self, cfg: RunConfig, n_classes: int, seed: int = 0):
         self.cfg = cfg
@@ -77,75 +86,56 @@ class ModelParams:
                        for i in range(4)]
         mel_red = cfg.mel_bands // MEL_REDUCTION
         self.embed_proj = Linear(ch * mel_red, emb, rng)
-        self.tf_layer = ad.TransformerEncoderLayer(2 * emb, cfg.heads,
-                                                   cfg.ffn_dim, rng)
+        self.tf = ad.TransformerEncoderLayer(2 * emb, cfg.heads, cfg.ffn_dim, rng)
         self.decoder_sed = Linear(emb, n_classes, rng)
         self.decoder_sfbc = Linear(2 * emb, 2, rng)
         self.decoder_bin = Linear(emb, 2, rng)
 
     # -- parameter bookkeeping ------------------------------------------------
 
-    def parameters(self) -> dict[str, ad.Tensor]:
-        params = {}
-        for i, blk in enumerate(self.blocks):
-            params.update({f"block{i}.{k}": v for k, v in blk.parameters().items()})
-        params.update({f"embed_proj.{k}": v
-                       for k, v in self.embed_proj.parameters().items()})
-        params.update({f"tf.{k}": v for k, v in self.tf_layer.parameters().items()})
-        params.update({f"decoder_sed.{k}": v
-                       for k, v in self.decoder_sed.parameters().items()})
-        params.update({f"decoder_sfbc.{k}": v
-                       for k, v in self.decoder_sfbc.parameters().items()})
-        params.update({f"decoder_bin.{k}": v
-                       for k, v in self.decoder_bin.parameters().items()})
-        return params
-
-    def bn_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, blk in enumerate(self.blocks):
-            out[f"block{i}.running_mean"] = blk.bn_state.running_mean
-            out[f"block{i}.running_var"] = blk.bn_state.running_var
-        return out
+    def _bn_states(self) -> dict[str, ad.BatchNormState]:
+        return {k.removesuffix(".bn_state"): st
+                for k, st in self.named(ad.BatchNormState).items()}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         arrays = {k: p.data for k, p in self.parameters().items()}
-        arrays.update(self.bn_arrays())
+        for k, st in self._bn_states().items():
+            arrays[f"{k}.running_mean"] = st.running_mean
+            arrays[f"{k}.running_var"] = st.running_var
         return arrays
 
     def hyper(self) -> dict:
-        c = self.cfg
-        return {"channels": c.channels, "embed_dim": c.embed_dim,
-                "heads": c.heads, "ffn_dim": c.ffn_dim,
-                "mel_bands": c.mel_bands, "win_frames": c.win_frames,
+        return {**{k: getattr(self.cfg, k) for k in ARCH_KEYS},
                 "n_classes": self.n_classes}
 
     def save(self, path):
         ad.save_checkpoint(path, self.state_arrays(), self.hyper())
 
     def load_arrays(self, arrays: dict[str, np.ndarray]):
-        params = self.parameters()
-        for k, p in params.items():
-            if k not in arrays:
-                raise ShapeError(f"checkpoint missing {k}")
-            if arrays[k].shape != p.data.shape:
-                raise ShapeError(f"checkpoint shape mismatch for {k}")
-            p.data = arrays[k].astype(np.float64).copy()
-        for i, blk in enumerate(self.blocks):
-            blk.bn_state.running_mean = arrays[f"block{i}.running_mean"].copy()
-            blk.bn_state.running_var = arrays[f"block{i}.running_var"].copy()
+        for k, p in self.parameters().items():
+            p.data = _checked(arrays, k, p.data.shape)
+        for k, st in self._bn_states().items():
+            st.running_mean = _checked(arrays, f"{k}.running_mean",
+                                       st.running_mean.shape)
+            st.running_var = _checked(arrays, f"{k}.running_var",
+                                      st.running_var.shape)
+
+    @classmethod
+    def from_arrays(cls, arrays: dict[str, np.ndarray], hyper: dict,
+                    cfg: RunConfig, path) -> "ModelParams":
+        """A model shaped by `hyper`, holding `arrays`; other settings from `cfg`."""
+        try:
+            arch = {k: int(hyper[k]) for k in ARCH_KEYS}
+            n_classes = int(hyper["n_classes"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}: bad hyper-parameters: {exc!r}") from exc
+        model = cls(dataclasses.replace(cfg, **arch), n_classes, seed=0)
+        model.load_arrays(arrays)
+        return model
 
     @classmethod
     def from_checkpoint(cls, path, cfg: RunConfig) -> "ModelParams":
-        arrays, hyper = ad.load_checkpoint(path)
-        import dataclasses
-
-        cfg = dataclasses.replace(
-            cfg, channels=int(hyper["channels"]), embed_dim=int(hyper["embed_dim"]),
-            heads=int(hyper["heads"]), ffn_dim=int(hyper["ffn_dim"]),
-            mel_bands=int(hyper["mel_bands"]), win_frames=int(hyper["win_frames"]))
-        model = cls(cfg, int(hyper["n_classes"]), seed=0)
-        model.load_arrays(arrays)
-        return model
+        return cls.from_arrays(*ad.load_checkpoint(path), cfg, path)
 
     def snapshot(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.state_arrays().items()}
@@ -227,5 +217,5 @@ def sfbc_forward(model: ModelParams, sed_emb: ad.Tensor, tc_emb: ad.Tensor,
     center = ad.masked_mean_rows(tc_emb, tc_pos_mask)
     tokens = sfbc_tokens(model, sed_emb, center)
     if use_transformer:
-        tokens = model.tf_layer(tokens)
+        tokens = model.tf(tokens)
     return ad.repeat_upsample(model.decoder_sfbc(tokens), TIME_REDUCTION, target)

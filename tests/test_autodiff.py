@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,23 @@ class TestTensorBasics:
     def test_nonfinite_rejected(self):
         with pytest.raises(NumericError):
             ad.Tensor([1.0, np.nan])
+
+    def test_graph_freed_after_backward_without_gc(self):
+        rng = np.random.default_rng(16)
+        x = rand_tensor(rng, (1, 6, 5))
+        w, b = rand_tensor(rng, (2, 1, 3, 3)), rand_tensor(rng, (2,))
+        gc.disable()
+        try:
+            hidden = ad.conv2d(x, w, b)
+            ref = weakref.ref(hidden)
+            loss = ad.tsum(ad.relu(hidden))
+            del hidden
+            loss.backward()
+            del loss
+            assert ref() is None
+        finally:
+            gc.enable()
+        assert w.grad is not None
 
     def test_backward_needs_scalar(self):
         t = ad.Tensor([1.0, 2.0], requires_grad=True)

@@ -3,9 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from fsed.autodiff import load_checkpoint
 from fsed.cli import build_parser, main
 from fsed.dsp import read_features
-from fsed.ingest import AudioClip, write_wav
+from fsed.ingest import (AudioClip, SynthSpec, load_config,
+                         read_annotations_by_file, synth_task_set, write_wav)
+from fsed.model import ModelParams
 
 
 class TestParser:
@@ -72,6 +75,43 @@ class TestEvaluateCommand:
         main(["evaluate", "--pred", str(pred), "--ref", str(ref),
               "--iou", "0.5"])
         assert json.loads(capsys.readouterr().out)["tp"] == 0
+
+    def test_bad_time_exits_one(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        ref = tmp_path / "ref.csv"
+        pred.write_text(self.HEADER + "a.wav,abc,2.0,POS\n")
+        ref.write_text(self.HEADER + "a.wav,1.0,2.0,POS\n")
+        assert main(["evaluate", "--pred", str(pred), "--ref", str(ref)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error [") for line in err) == 1
+
+
+class TestFinetuneDetect:
+    TINY = ("channels = 4\nembed_dim = 4\nheads = 2\nffn_dim = 8\n"
+            "mel_bands = 16\nwin_frames = 32\nshift_frames = 8\niters = 2\n"
+            "aug_start_iter = 1\nsupport_count = 2\nfinetune_batch = 1\n"
+            "pseudo_cycles = 1\npseudo_iters = 1\n")
+
+    def test_task_checkpoint_drives_detect(self, tmp_path):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(self.TINY)
+        pre = tmp_path / "pre.ckpt"
+        ModelParams(load_config(cfg_path), n_classes=3, seed=0).save(pre)
+        spec = SynthSpec(base_classes=[], novel_classes=["n1"],
+                         novel_duration_s=8.0, novel_pos_count=7,
+                         event_dur_range=(0.25, 0.4), novel_gap_range=(0.4, 0.7))
+        wav, _ = synth_task_set(spec, 3, tmp_path / "data")["novel"][0]
+        task_ckpt = tmp_path / "task.ckpt"
+        pred = tmp_path / "pred.csv"
+        assert main(["--config", str(cfg_path), "finetune", "--ckpt", str(pre),
+                     "--task", wav, "--out", str(task_ckpt)]) == 0
+        assert main(["--config", str(cfg_path), "detect", "--task-ckpt",
+                     str(task_ckpt), "--task", wav, "--out", str(pred)]) == 0
+        assert pred.read_text().startswith("Audiofilename,Starttime,Endtime,Q\n")
+        assert set(read_annotations_by_file(pred)) <= {"novel_n1.wav"}
+        arrays, hyper = load_checkpoint(task_ckpt)
+        assert hyper["multitask"] and hyper["use_transformer"]
+        assert arrays["sfbc_center"].shape == (4,)
 
 
 class TestConfigPlumbing:

@@ -320,6 +320,24 @@ class TestFinetuneSfbc:
         assert fs.finetune_sfbc(model, sup, TINY, seed=0) is None
 
 
+class TestTaskCheckpoint:
+    def test_save_load_roundtrip(self, tmp_path):
+        cfg = dataclasses.replace(TINY, multitask=False, use_transformer=False)
+        rng = np.random.default_rng(17)
+        tm = fs.TaskModel(model=M.ModelParams(cfg, n_classes=3, seed=4),
+                          sfbc_center=rng.normal(size=cfg.embed_dim), cfg=cfg)
+        ctx = fs.TaskContext(features=rng.uniform(0, 1, (100, 16)),
+                             frame_period_s=256 / 22050, pos_ranges=[],
+                             neg_ranges=[], query_start_frame=0)
+        ctx.query_windows = fs._query_windows(ctx.features, 0, cfg)
+        path = tmp_path / "task.ckpt"
+        tm.save(path)
+        back = fs.TaskModel.load(path, TINY)
+        assert (back.cfg.multitask, back.cfg.use_transformer) == (False, False)
+        assert back.sfbc_center.tobytes() == tm.sfbc_center.tobytes()
+        assert fs.detect(back, ctx).tobytes() == fs.detect(tm, ctx).tobytes()
+
+
 class TestFrameArithmetic:
     def test_time_to_frames_center_rule(self):
         period = 256 / 22050

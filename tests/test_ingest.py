@@ -63,6 +63,11 @@ class TestAnnotations:
         with pytest.raises(ValidationError, match="row 2"):
             parse_annotations(io.StringIO(self.HEADER + "a.wav,1.0,1.0,POS\n"))
 
+    @pytest.mark.parametrize("row", ["a.wav,5.0,inf,POS", "a.wav,nan,1.0,POS"])
+    def test_nonfinite_time_rejected(self, row):
+        with pytest.raises(ValidationError, match="row 2"):
+            parse_annotations(io.StringIO(self.HEADER + row + "\n"))
+
     def test_unk_rows_skipped(self):
         rows = [f"a.wav,{i},{i}.5,POS" for i in range(5)]
         rows += [f"a.wav,{i + 10},{i + 10}.5,UNK" for i in range(3)]

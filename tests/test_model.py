@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import fsed.autodiff as ad
+import fsed.fewshot as fs
 import fsed.model as mdl
-from fsed.errors import SelectionError, ShapeError
+from fsed.errors import FormatError, SelectionError, ShapeError
 from fsed.framing import WindowBatch
 from fsed.ingest import RunConfig
 
@@ -197,7 +198,7 @@ class TestMultitaskGradients:
         assert np.any(m.blocks[0].w.grad != 0)
         assert np.any(m.decoder_sed.w.grad != 0)
         assert np.any(m.decoder_sfbc.w.grad != 0)
-        assert np.any(m.tf_layer.w1.grad != 0)
+        assert np.any(m.tf.w1.grad != 0)
 
 
 class TestCheckpointing:
@@ -216,6 +217,36 @@ class TestCheckpointing:
         clone = mdl.ModelParams.from_checkpoint(path, RunConfig())
         assert clone.cfg.channels == CFG.channels
         assert clone.n_classes == 3
+
+    @staticmethod
+    def _bad_checkpoint(case, path, model):
+        if case == "truncated_header":
+            path.write_bytes(b"FSED\x01\x00")
+        elif case == "corrupt_json":
+            path.write_bytes(b"FSED" + (1).to_bytes(4, "little")
+                             + (5).to_bytes(4, "little") + b"{oops")
+        elif case == "missing_bn_stats":
+            arrays = {k: v for k, v in model.state_arrays().items()
+                      if "running" not in k}
+            ad.save_checkpoint(path, arrays, model.hyper())
+        elif case == "missing_hyper_key":
+            hyper = model.hyper()
+            del hyper["heads"]
+            ad.save_checkpoint(path, model.state_arrays(), hyper)
+        return path  # "missing_file": never written
+
+    @pytest.mark.parametrize("case", ["truncated_header", "corrupt_json",
+                                      "missing_file", "missing_bn_stats",
+                                      "missing_hyper_key"])
+    def test_bad_input_raises_format_error(self, tmp_path, model, case):
+        path = self._bad_checkpoint(case, tmp_path / "bad.ckpt", model)
+        if case in ("truncated_header", "corrupt_json", "missing_file"):
+            with pytest.raises(FormatError):
+                ad.load_checkpoint(path)
+        with pytest.raises(FormatError):
+            mdl.ModelParams.from_checkpoint(path, RunConfig())
+        with pytest.raises(FormatError):
+            fs.TaskModel.load(path, RunConfig())
 
 
 class TestRepeatUpsampleGeometry:
