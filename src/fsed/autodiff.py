@@ -312,24 +312,41 @@ def conv2d(x, w, b):
 
 
 def maxpool2d(x, pool):
-    """Ceil-mode max pooling over (H, W) of [C x H x W]; pads with -inf."""
+    """Ceil-mode max pooling over (H, W) of [C x H x W]; pads with -inf.
+
+    Both passes work on the pt*pf strided views of the padded input. The
+    forward pass is their running np.maximum. Equal values have equal bytes
+    except +0.0 and -0.0, so only a zero maximum that ties the two could
+    differ in sign from argmax's choice; `relu` turns every non-positive
+    input but +0.0 into -0.0. The backward pass sends each gradient to the
+    first view, in row-major order, that holds the maximum, as argmax would.
+    """
     x = _as_tensor(x)
     pt, pf = pool
     c, h, w = x.shape
     ho, wo = -(-h // pt), -(-w // pf)
-    padded = np.full((c, ho * pt, wo * pf), -np.inf)
-    padded[:, :h, :w] = x.data
-    r = padded.reshape(c, ho, pt, wo, pf).transpose(0, 1, 3, 2, 4).reshape(
-        c, ho, wo, pt * pf)
-    arg = r.argmax(axis=3)
-    out = np.take_along_axis(r, arg[..., None], axis=3)[..., 0]
+    offsets = [(i, j) for i in range(pt) for j in range(pf)]
+
+    def padded():
+        p = np.full((c, ho * pt, wo * pf), -np.inf)
+        p[:, :h, :w] = x.data
+        return p
+
+    xp = padded()
+    out = xp[:, 0::pt, 0::pf].copy()
+    for i, j in offsets[1:]:
+        np.maximum(xp[:, i::pt, j::pf], out, out=out)
 
     def backward(g):
         if x.requires_grad:
-            gr = np.zeros((c, ho, wo, pt * pf))
-            np.put_along_axis(gr, arg[..., None], g[..., None], axis=3)
-            gp = gr.reshape(c, ho, wo, pt, pf).transpose(0, 1, 3, 2, 4).reshape(
-                c, ho * pt, wo * pf)
+            xp = padded()
+            gp = np.zeros_like(xp)
+            open_cells = np.ones(out.shape, dtype=bool)
+            for i, j in offsets:
+                hit = xp[:, i::pt, j::pf] == out
+                hit &= open_cells
+                np.copyto(gp[:, i::pt, j::pf], g, where=hit)
+                open_cells &= ~hit
             x._accumulate(gp[:, :h, :w])
 
     return _node(out, (x,), backward)

@@ -173,16 +173,21 @@ def write_features(path, feats: FrameFeatures) -> None:
 
 
 def read_features(path) -> FrameFeatures:
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _FEATURE_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        version, t, bands = struct.unpack("<III", fh.read(12))
-        if version != _FEATURE_VERSION:
-            raise FormatError(f"{path}: unsupported version {version}")
-        data = np.frombuffer(fh.read(t * bands * 4), dtype="<f4")
-        if data.size != t * bands:
-            raise FormatError(f"{path}: truncated data")
-        (period,) = struct.unpack("<d", fh.read(8))
+    try:
+        with open(path, "rb") as fh:
+            magic = fh.read(4)
+            if magic != _FEATURE_MAGIC:
+                raise FormatError(f"{path}: bad magic {magic!r}")
+            version, t, bands = struct.unpack("<III", fh.read(12))
+            if version != _FEATURE_VERSION:
+                raise FormatError(f"{path}: unsupported version {version}")
+            data = np.frombuffer(fh.read(t * bands * 4), dtype="<f4")
+            if data.size != t * bands:
+                raise FormatError(f"{path}: truncated data")
+            (period,) = struct.unpack("<d", fh.read(8))
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read feature dump: {exc}") from exc
+    except struct.error as exc:
+        raise FormatError(f"{path}: truncated header or trailer: {exc}") from exc
     return FrameFeatures(values=data.reshape(t, bands).astype(np.float64),
                          frame_period_s=period)

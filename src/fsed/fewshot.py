@@ -35,6 +35,25 @@ class TaskContext:
     neg_ranges: list[tuple[int, int]]
     query_start_frame: int
     query_windows: list[WindowBatch] = field(default_factory=list)
+    # blocks 0-1 output of each query window, valid for models whose
+    # M.prefix_fingerprint is prefix_key (see cache_prefixes)
+    query_prefixes: list[np.ndarray] = field(default_factory=list)
+    prefix_key: bytes = b""
+
+    def cache_prefixes(self, model: M.ModelParams) -> None:
+        """Run blocks 0-1 over every query window once and keep the output."""
+        self.query_prefixes = [M.backbone_prefix(model, w.features).data
+                               for w in self.query_windows]
+        self.prefix_key = M.prefix_fingerprint(model)
+
+    def prefixes(self, model: M.ModelParams):
+        """Blocks 0-1 output per query window under `model`: the cache when
+        it was made with the same blocks 0-1 weights and BN statistics,
+        otherwise computed one window at a time."""
+        if self.prefix_key == M.prefix_fingerprint(model):
+            return self.query_prefixes
+        return (M.backbone_prefix(model, w.features).data
+                for w in self.query_windows)
 
 
 def _time_to_frames(onset_s, offset_s, period) -> tuple[int, int]:
@@ -374,36 +393,46 @@ def positive_prob(logits: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True))[:, 1]
 
 
-def _bin_probs(model: M.ModelParams, feats: np.ndarray, win: int) -> np.ndarray:
-    emb = M.backbone_forward(model, feats, training=False)
+def _bin_probs(model: M.ModelParams, prefix: np.ndarray, win: int) -> np.ndarray:
+    emb = M.backbone_suffix(model, prefix)
     return positive_prob(M.bin_forward(model, emb, win).data)
 
 
 def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
-                        cfg: RunConfig, seed: int) -> dict:
+                        cfg: RunConfig, seed: int,
+                        prefixes: list[np.ndarray] | None = None) -> dict:
     """Self-training on confident query frames (p >= hi is POS, p <= lo is
-    NEG, the rest masked out). Returns per-cycle statistics."""
+    NEG, the rest masked out). Returns per-cycle statistics.
+
+    Blocks 0-1 are not trained here, so every pass starts from each query
+    window's blocks 0-1 output: `prefixes` when given (as
+    `TaskContext.cache_prefixes` makes them), otherwise computed once.
+    """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x95E0]))
     stats = {"cycles_run": 0, "cycles_skipped": 0}
     win = cfg.win_frames
     trainable = _trainable(model, SED_TRAINABLE)
+    if prefixes is None and cfg.pseudo_cycles > 0:
+        prefixes = [M.backbone_prefix(model, w.features).data
+                    for w in query_windows]
     for _ in range(cfg.pseudo_cycles):
         labeled = []
-        for w in query_windows:
-            p = _bin_probs(model, w.features, win)
+        for w, prefix in zip(query_windows, prefixes):
+            p = _bin_probs(model, prefix, win)
             labels = (p >= cfg.pseudo_hi).astype(np.int64)
             mask = ((p >= cfg.pseudo_hi) | (p <= cfg.pseudo_lo)).astype(np.int64)
             mask &= (np.arange(win) < w.valid_frames)
             if mask.any():
-                labeled.append((w.features, labels, mask))
+                labeled.append((prefix, labels, mask))
         if not labeled:
             stats["cycles_skipped"] += 1
             continue
         optimizer = ad.Adam(trainable, lr=cfg.lr_sed)
         for _ in range(cfg.pseudo_iters):
             optimizer.zero_grad()
-            feats, labels, mask = labeled[int(rng.integers(len(labeled)))]
-            loss, _ = _binary_ce(model, feats, labels, mask, win)
+            prefix, labels, mask = labeled[int(rng.integers(len(labeled)))]
+            logits = M.bin_forward(model, M.backbone_suffix(model, prefix), win)
+            loss = ad.masked_softmax_ce(logits, labels, mask)
             loss.backward()
             optimizer.step()
         stats["cycles_run"] += 1
@@ -468,12 +497,13 @@ def adapt(pretrained: M.ModelParams, clip: AudioClip, task: SupportTask,
     model = clone_model(pretrained)
     _trainable(model, ())  # inference-only until fine-tuning starts
     ctx = build_task_context(clip, task, cfg)
+    # blocks 0-1 stay frozen in eval mode below: scoring, pseudo-label
+    # cycles and detect all start from these
+    ctx.cache_prefixes(model)
     shots = [shot_embedding(model, ctx.features, r, cfg) for r in ctx.pos_ranges]
     center = pos_center(shots)
-    scores = []
-    for w in ctx.query_windows:
-        emb = M.backbone_forward(model, w.features, training=False).data
-        scores.append(query_similarity(emb, center)[1])
+    scores = [query_similarity(M.backbone_suffix(model, p).data, center)[1]
+              for p in ctx.query_prefixes]
     quota = max(2, math.ceil(cfg.neg_quota_frac * len(ctx.query_windows)))
     neg_pool = reconstruct_negatives(
         ctx.query_windows, scores, quota,
@@ -483,7 +513,7 @@ def adapt(pretrained: M.ModelParams, clip: AudioClip, task: SupportTask,
                               seed=seed, win=cfg.win_frames)
     graft_background_row(model, center, cfg.graft_mode)
     finetune_sed(model, supports, base_windows or [], cfg, seed)
-    pseudo_label_refine(model, ctx.query_windows, cfg, seed)
+    pseudo_label_refine(model, ctx.query_windows, cfg, seed, ctx.query_prefixes)
     sfbc_center = None
     if cfg.multitask:
         sfbc_center = finetune_sfbc(model, supports, cfg, seed)
@@ -501,8 +531,8 @@ def detect(task_model: TaskModel, ctx: TaskContext) -> np.ndarray:
     t = len(ctx.features)
     acc = np.zeros(t)
     cnt = np.zeros(t)
-    for w in ctx.query_windows:
-        emb = M.backbone_forward(model, w.features, training=False)
+    for w, prefix in zip(ctx.query_windows, ctx.prefixes(model)):
+        emb = M.backbone_suffix(model, prefix)
         p = positive_prob(M.bin_forward(model, emb, win).data)
         if cfg.multitask and task_model.sfbc_center is not None:
             tokens = M.sfbc_tokens(model, emb, ad.Tensor(task_model.sfbc_center))

@@ -144,12 +144,20 @@ class RunConfig:
         return self.fmax if self.fmax > 0 else self.sample_rate / 2.0
 
 
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
+
+
 def load_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse a flat key=value config file ('#' starts a comment)."""
     known = {f.name: f for f in fields(RunConfig)}
-    kv = {}
+    kv, where = {}, {}
     if path is not None:
-        for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        try:
+            text = Path(path).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: cannot read config: {exc}") from exc
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
@@ -159,19 +167,25 @@ def load_config(path, overrides: dict | None = None) -> RunConfig:
             if key not in known:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             kv[key] = val
+            where[key] = f"{path}:{lineno}"
     if overrides:
         kv.update({k: str(v) for k, v in overrides.items()})
+        where.update({k: f"override {k}" for k in overrides})
     coerced = {}
     for key, val in kv.items():
         typ = known[key].type
-        if typ == "bool":
-            coerced[key] = val.lower() in ("1", "true", "yes", "on")
-        elif typ == "int":
-            coerced[key] = int(val)
-        elif typ == "float":
-            coerced[key] = float(val)
-        else:
-            coerced[key] = val
+        try:
+            if typ == "bool":
+                coerced[key] = _BOOLS[val.lower()]
+            elif typ == "int":
+                coerced[key] = int(val)
+            elif typ == "float":
+                coerced[key] = float(val)
+            else:
+                coerced[key] = val
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{where[key]}: {key} needs a {typ}, got {val!r}"
+                              ) from exc
     return RunConfig(**coerced)
 
 

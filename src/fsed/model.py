@@ -8,6 +8,7 @@ by repeating each reduced-frame row (repeat-upsampling).
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -62,6 +63,9 @@ class Linear(ad.Module):
 
 # RunConfig fields that fix the weights' shapes; a checkpoint records them
 ARCH_KEYS = ("channels", "embed_dim", "heads", "ffn_dim", "mel_bands", "win_frames")
+# recorded as well, so the windows frame as in training; checkpoints written
+# before they were recorded lack them and take the config's values
+FRAMING_KEYS = ("shift_frames",)
 
 
 def _checked(arrays: dict[str, np.ndarray], name: str, shape) -> np.ndarray:
@@ -105,7 +109,7 @@ class ModelParams(ad.Module):
         return arrays
 
     def hyper(self) -> dict:
-        return {**{k: getattr(self.cfg, k) for k in ARCH_KEYS},
+        return {**{k: getattr(self.cfg, k) for k in ARCH_KEYS + FRAMING_KEYS},
                 "n_classes": self.n_classes}
 
     def save(self, path):
@@ -126,6 +130,7 @@ class ModelParams(ad.Module):
         """A model shaped by `hyper`, holding `arrays`; other settings from `cfg`."""
         try:
             arch = {k: int(hyper[k]) for k in ARCH_KEYS}
+            arch.update({k: int(hyper[k]) for k in FRAMING_KEYS if k in hyper})
             n_classes = int(hyper["n_classes"])
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"{path}: bad hyper-parameters: {exc!r}") from exc
@@ -145,19 +150,52 @@ class ModelParams(ad.Module):
 # Forward passes
 # ---------------------------------------------------------------------------
 
-def backbone_forward(model: ModelParams, window: np.ndarray,
-                     training: bool = False) -> ad.Tensor:
-    """[T x mel] PCEN window -> [T' x embed] embedding, T' = ceil(ceil(T/2)/2)."""
+# Blocks 0-1 are frozen and in eval mode throughout task adaptation, so their
+# output for a window can be computed once and reused
+PREFIX_BLOCKS = 2
+PREFIX_PARAMS = tuple(f"block{i}." for i in range(PREFIX_BLOCKS))
+
+
+def backbone_prefix(model: ModelParams, window: np.ndarray,
+                    training: bool = False) -> ad.Tensor:
+    """[T x mel] PCEN window -> blocks 0-1 output [C x T' x mel/4]."""
     t, mel = window.shape
     if mel != model.cfg.mel_bands:
         raise ShapeError(f"expected {model.cfg.mel_bands} mel bands, got {mel}")
     x = ad.Tensor(window.reshape(1, t, mel))
-    for blk in model.blocks:
+    for blk in model.blocks[:PREFIX_BLOCKS]:
+        x = blk(x, training)
+    return x
+
+
+def backbone_suffix(model: ModelParams, x, training: bool = False) -> ad.Tensor:
+    """Blocks 0-1 output (a Tensor or its array) -> [T' x embed] embedding."""
+    if not isinstance(x, ad.Tensor):
+        x = ad.Tensor(x)
+    for blk in model.blocks[PREFIX_BLOCKS:]:
         x = blk(x, training)
     # [C x T' x mel'] -> [T' x C*mel']
     c, tr, mr = x.shape
     x = ad.reshape(ad.transpose(x, (1, 0, 2)), (tr, c * mr))
     return model.embed_proj(x)
+
+
+def backbone_forward(model: ModelParams, window: np.ndarray,
+                     training: bool = False) -> ad.Tensor:
+    """[T x mel] PCEN window -> [T' x embed] embedding, T' = ceil(ceil(T/2)/2)."""
+    return backbone_suffix(model, backbone_prefix(model, window, training),
+                           training)
+
+
+def prefix_fingerprint(model: ModelParams) -> bytes:
+    """Digest of everything `backbone_prefix` reads from the model in eval
+    mode: blocks 0-1 weights and BN running statistics."""
+    h = hashlib.blake2b(digest_size=16)
+    for name, arr in sorted(model.state_arrays().items()):
+        if name.startswith(PREFIX_PARAMS):
+            h.update(f"{name}{arr.shape}".encode())
+            h.update(arr.tobytes())
+    return h.digest()
 
 
 def sed_forward(model: ModelParams, emb: ad.Tensor, target: int) -> ad.Tensor:

@@ -297,6 +297,33 @@ class TestMiscOps:
         ad.tsum(out).backward()
         assert x.grad.sum() == out.data.size  # one winner per pool cell
 
+    def test_maxpool_matches_argmax_reference_with_ties(self):
+        # small integers through relu: many equal maxima, zeros included
+        rng = np.random.default_rng(18)
+        for pool in ((2, 2), (1, 2)):
+            x = ad.Tensor(rng.integers(-3, 3, size=(3, 7, 9)).astype(float))
+            h = ad.Tensor(ad.relu(x).data, requires_grad=True)
+            out = ad.maxpool2d(h, pool)
+            # the reshape/argmax formulation, first maximum on ties
+            pt, pf = pool
+            ho, wo = -(-7 // pt), -(-9 // pf)
+            padded = np.full((3, ho * pt, wo * pf), -np.inf)
+            padded[:, :7, :9] = h.data
+            r = padded.reshape(3, ho, pt, wo, pf).transpose(0, 1, 3, 2, 4).reshape(
+                3, ho, wo, pt * pf)
+            arg = r.argmax(axis=3)
+            ref = np.take_along_axis(r, arg[..., None], axis=3)[..., 0]
+            assert out.data.tobytes() == ref.tobytes()
+            g = rng.normal(size=out.shape)
+            ad.tsum(ad.mul(out, ad.Tensor(g))).backward()
+            # each cell's gradient lands on its first maximum, in row-major
+            # order within the cell, and nowhere else
+            want = np.zeros_like(padded)
+            for ci, i, j in np.ndindex(3, ho, wo):
+                k = arg[ci, i, j]
+                want[ci, i * pt + k // pf, j * pf + k % pf] = g[ci, i, j]
+            assert h.grad.tobytes() == want[:, :7, :9].tobytes()
+
     def test_repeat_upsample_exact_cover(self):
         x = ad.Tensor(np.array([[1.0], [2.0]]), requires_grad=True)
         out = ad.repeat_upsample(x, 3, 5)

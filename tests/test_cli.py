@@ -114,6 +114,24 @@ class TestFinetuneDetect:
         assert arrays["sfbc_center"].shape == (4,)
 
 
+    def test_task_checkpoint_frames_without_config(self, tmp_path):
+        # win_frames = 32 with the default shift_frames = 86 is invalid, so
+        # detect must take shift_frames from the checkpoint
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(self.TINY)
+        pre = tmp_path / "pre.ckpt"
+        ModelParams(load_config(cfg_path), n_classes=3, seed=0).save(pre)
+        spec = SynthSpec(base_classes=[], novel_classes=["n1"],
+                         novel_duration_s=8.0, novel_pos_count=7,
+                         event_dur_range=(0.25, 0.4), novel_gap_range=(0.4, 0.7))
+        wav, _ = synth_task_set(spec, 4, tmp_path / "data")["novel"][0]
+        task_ckpt = tmp_path / "task.ckpt"
+        assert main(["--config", str(cfg_path), "finetune", "--ckpt", str(pre),
+                     "--task", wav, "--out", str(task_ckpt)]) == 0
+        assert main(["detect", "--task-ckpt", str(task_ckpt), "--task", wav,
+                     "--out", str(tmp_path / "pred.csv")]) == 0
+
+
 class TestConfigPlumbing:
     def test_config_file_respected(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -130,3 +148,17 @@ class TestConfigPlumbing:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("no_such_option = 3\n")
         assert main(["--config", str(cfg), "gradcheck"]) == 1
+
+    @pytest.mark.parametrize("text", ["win_frames = abc\n", "lr_sed = fast\n",
+                                      "multitask = ture\n"])
+    def test_bad_config_value_exits_one(self, tmp_path, capsys, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# comment\n" + text)
+        assert main(["--config", str(cfg), "gradcheck"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error [ConfigError]: {cfg}:2:")
+
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        assert main(["--config", str(tmp_path / "none.cfg"), "gradcheck"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [ConfigError]")

@@ -178,6 +178,19 @@ class TestFeatureDump:
             read_features(path)
 
 
+    @pytest.mark.parametrize("keep", [-8, 10])  # no trailing period; short header
+    def test_truncated_header_or_trailer(self, tmp_path, keep):
+        path = tmp_path / "t.pcen"
+        write_features(path, FrameFeatures(np.ones((4, 8)), 0.01))
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(FormatError):
+            read_features(path)
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FormatError):
+            read_features(tmp_path / "absent.pcen")
+
+
 def test_extract_features_shape():
     feats = extract_features(tone(440, 1.0, 44100), CFG)
     assert feats.values.shape == (87, 128)

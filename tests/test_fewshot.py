@@ -351,3 +351,65 @@ class TestFrameArithmetic:
         emb_val = fs.shot_embedding(model, features, (40, 48), TINY)
         assert emb_val.shape == (4,)
         assert np.all(np.isfinite(emb_val))
+
+
+@pytest.fixture(scope="module")
+def adapted(tmp_path_factory):
+    """One TINY task adapted end to end: (clip, task, TaskModel, ctx)."""
+    from fsed.ingest import (SynthSpec, make_support_task, read_annotations,
+                             read_wav, synth_task_set)
+
+    spec = SynthSpec(base_classes=[], novel_classes=["n1"], novel_duration_s=8.0,
+                     novel_pos_count=7, event_dur_range=(0.25, 0.4),
+                     novel_gap_range=(0.4, 0.7))
+    wav, csv_path = synth_task_set(spec, 3, tmp_path_factory.mktemp("task"))["novel"][0]
+    clip = read_wav(wav)
+    task = make_support_task(clip, read_annotations(csv_path))
+    tm, ctx = fs.adapt(tiny_model(seed=6), clip, task, TINY, seed=2)
+    return clip, task, tm, ctx
+
+
+class TestQueryPrefixCache:
+    def test_detect_with_cache_equals_fresh_context(self, adapted, monkeypatch):
+        clip, task, tm, ctx = adapted
+        fresh = fs.detect(tm, fs.build_task_context(clip, task, TINY))
+        assert len(ctx.query_prefixes) == len(ctx.query_windows) > 1
+
+        def no_prefix(*args, **kwargs):
+            raise AssertionError("cached prefixes not used")
+
+        monkeypatch.setattr(M, "backbone_prefix", no_prefix)
+        assert fs.detect(tm, ctx).tobytes() == fresh.tobytes()
+
+    @pytest.mark.parametrize("name", ["block0.w", "block1.bn_state"])
+    def test_stale_cache_ignored(self, adapted, name):
+        clip, task, tm, ctx = adapted
+        model = fs.clone_model(tm.model)
+        if name == "block0.w":
+            model.blocks[0].w.data[0, 0, 1, 1] += 0.25
+        else:
+            model.blocks[1].bn_state.running_mean = (
+                model.blocks[1].bn_state.running_mean + 0.25)
+        changed = fs.TaskModel(model=model, sfbc_center=tm.sfbc_center, cfg=TINY)
+        fresh = fs.detect(changed, fs.build_task_context(clip, task, TINY))
+        assert fresh.tobytes() != fs.detect(tm, ctx).tobytes()
+        assert fs.detect(changed, ctx).tobytes() == fresh.tobytes()
+
+    def test_pseudo_label_refine_with_and_without_prefixes(self, adapted):
+        _, _, tm, ctx = adapted
+        cfg = dataclasses.replace(TINY, pseudo_cycles=2, pseudo_iters=3,
+                                  pseudo_hi=0.5, pseudo_lo=0.5)
+        with_cache, without = fs.clone_model(tm.model), fs.clone_model(tm.model)
+        stats = fs.pseudo_label_refine(with_cache, ctx.query_windows, cfg, 4,
+                                       ctx.query_prefixes)
+        assert stats == fs.pseudo_label_refine(without, ctx.query_windows, cfg, 4)
+        assert stats["cycles_run"] == 2
+        a, b = with_cache.state_arrays(), without.state_arrays()
+        assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+        assert any(a[k].tobytes() != v.tobytes()
+                   for k, v in tm.model.state_arrays().items())
+
+    def test_prefix_blocks_never_trained(self):
+        # the cache is exact only while no fine-tuning stage trains blocks 0-1
+        for prefix in M.PREFIX_PARAMS:
+            assert not prefix.startswith(fs.SED_TRAINABLE + fs.SFBC_TRAINABLE)

@@ -47,6 +47,13 @@ class TestBackbone:
         with pytest.raises(ShapeError):
             mdl.backbone_forward(model, np.zeros((431, 64)))
 
+    def test_suffix_of_prefix_is_forward(self, model):
+        w = rand_window(19)
+        prefix = mdl.backbone_prefix(model, w).data
+        assert prefix.shape == (CFG.channels, 108, 128 // 4)
+        want = mdl.backbone_forward(model, w, training=False).data.tobytes()
+        assert mdl.backbone_suffix(model, prefix).data.tobytes() == want
+
 
 class TestSedForward:
     def test_logit_shape(self, model):
@@ -217,6 +224,19 @@ class TestCheckpointing:
         clone = mdl.ModelParams.from_checkpoint(path, RunConfig())
         assert clone.cfg.channels == CFG.channels
         assert clone.n_classes == 3
+
+    def test_shift_frames_recorded_and_optional(self, tmp_path):
+        cfg = dataclasses.replace(CFG, win_frames=32, shift_frames=8)
+        m = mdl.ModelParams(cfg, n_classes=3, seed=2)
+        path = tmp_path / "m.ckpt"
+        m.save(path)
+        assert mdl.ModelParams.from_checkpoint(path, RunConfig()).cfg.shift_frames == 8
+        # a checkpoint written before shift_frames was recorded
+        hyper = m.hyper()
+        del hyper["shift_frames"]
+        ad.save_checkpoint(path, m.state_arrays(), hyper)
+        base = dataclasses.replace(RunConfig(), shift_frames=5)
+        assert mdl.ModelParams.from_checkpoint(path, base).cfg.shift_frames == 5
 
     @staticmethod
     def _bad_checkpoint(case, path, model):
