@@ -135,15 +135,16 @@ def mul(a, b):
 
 
 def matmul(a, b):
+    """a @ b over the last two axes; leading axes stack matrices."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError("matmul expects 2-D operands")
+    if a.data.ndim < 2 or a.data.ndim != b.data.ndim:
+        raise ShapeError("matmul expects operands of equal rank >= 2")
 
     def backward(g):
         if a.requires_grad:
-            a._accumulate(g @ b.data.T)
+            a._accumulate(g @ np.swapaxes(b.data, -1, -2))
         if b.requires_grad:
-            b._accumulate(a.data.T @ g)
+            b._accumulate(np.swapaxes(a.data, -1, -2) @ g)
 
     return _node(a.data @ b.data, (a, b), backward)
 
@@ -179,18 +180,6 @@ def transpose(x, axes=None):
             x._accumulate(g.transpose(inv))
 
     return _node(x.data.transpose(axes), (x,), backward)
-
-
-def getitem(x, key):
-    x = _as_tensor(x)
-
-    def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
-            np.add.at(full, key, g)
-            x._accumulate(full)
-
-    return _node(x.data[key], (x,), backward)
 
 
 def concat(tensors, axis=0):
@@ -388,20 +377,6 @@ def softmax(x, axis=-1):
     return _node(p, (x,), backward)
 
 
-def log_softmax(x, axis=-1):
-    x = _as_tensor(x)
-    z = x.data - x.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
-    p = np.exp(out)
-
-    def backward(g):
-        if x.requires_grad:
-            x._accumulate(g - p * g.sum(axis=axis, keepdims=True))
-
-    return _node(out, (x,), backward)
-
-
 def masked_softmax_ce(logits, labels, mask):
     """Mean cross-entropy over unmasked rows of [T x C].
 
@@ -537,17 +512,19 @@ class MultiHeadAttention(Module):
         self.bo = Tensor(np.zeros(dim), requires_grad=True)
 
     def __call__(self, q_in, k_in, v_in):
-        dh = self.dim // self.heads
-        q = linear(q_in, self.wq, self.bq)
-        k = linear(k_in, self.wk, self.bk)
-        v = linear(v_in, self.wv, self.bv)
-        outs = []
-        for h in range(self.heads):
-            sl = (slice(None), slice(h * dh, (h + 1) * dh))
-            qh, kh, vh = getitem(q, sl), getitem(k, sl), getitem(v, sl)
-            att = softmax(mul(matmul(qh, transpose(kh)), 1.0 / np.sqrt(dh)), axis=-1)
-            outs.append(matmul(att, vh))
-        return linear(concat(outs, axis=1), self.wo, self.bo)
+        t, dh = q_in.shape[0], self.dim // self.heads
+
+        def split(x, w, b):  # [T x dim] -> [heads x T x dh]
+            x = reshape(linear(x, w, b), (x.shape[0], self.heads, dh))
+            return transpose(x, (1, 0, 2))
+
+        q = split(q_in, self.wq, self.bq)
+        k = split(k_in, self.wk, self.bk)
+        v = split(v_in, self.wv, self.bv)
+        scores = mul(matmul(q, transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+        out = matmul(softmax(scores, axis=-1), v)
+        out = reshape(transpose(out, (1, 0, 2)), (t, self.dim))
+        return linear(out, self.wo, self.bo)
 
 
 def sinusoidal_positions(t: int, dim: int) -> np.ndarray:

@@ -83,8 +83,7 @@ def _score_task(pretrained, wav_path, csv_path, cfg, seed, base_windows):
     return match_events(pred, ref, cfg.iou_min)
 
 
-def run_bench(spec: BenchSpec, seed: int, out_dir,
-              rows=ROWS, full_only: bool = False) -> dict:
+def run_bench(spec: BenchSpec, seed: int, out_dir, full_only: bool = False) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     timings = {}
@@ -93,11 +92,19 @@ def run_bench(spec: BenchSpec, seed: int, out_dir,
     timings["synth"] = time.monotonic() - t0
     class_map = ClassMap.from_names(manifest["classes"])
 
-    if full_only:
-        rows = tuple(r for r in rows if r["name"] == "full")
+    rows = tuple(r for r in ROWS if r["name"] == "full") if full_only else ROWS
+
+    # every row shares the frontend and framing keys, so one corpus serves all
+    t0 = time.monotonic()
+    frontend = spec.run_config(seed)
+    corpus = [train.prepare_clip(read_wav(wav_path), read_annotations(csv_path),
+                                 class_map, frontend, clip_id=Path(wav_path).stem)
+              for wav_path, csv_path in manifest["base"]]
+    timings["features"] = time.monotonic() - t0
+    base_windows = [w for cw in corpus for w in cw.windows
+                    if (w.sed_labels != 0).any()][: spec.base_window_pool]
 
     # pretrained models are shared across rows with the same toggles
-    corpus_cache = {}
     model_cache = {}
     results = []
     for row in rows:
@@ -105,16 +112,6 @@ def run_bench(spec: BenchSpec, seed: int, out_dir,
         cfg = spec.run_config(seed, multitask=row["multitask"],
                               use_transformer=row["transformer"],
                               use_aug=row["aug"])
-        if "corpus" not in corpus_cache:
-            t0 = time.monotonic()
-            corpus = []
-            for wav_path, csv_path in manifest["base"]:
-                corpus.append(train.prepare_clip(
-                    read_wav(wav_path), read_annotations(csv_path), class_map,
-                    cfg, clip_id=Path(wav_path).stem))
-            corpus_cache["corpus"] = corpus
-            timings["features"] = time.monotonic() - t0
-        corpus = corpus_cache["corpus"]
         if key not in model_cache:
             t0 = time.monotonic()
             plan = train.TrainPlan(epochs=spec.pretrain_epochs, kfold=1,
@@ -123,8 +120,6 @@ def run_bench(spec: BenchSpec, seed: int, out_dir,
             model_cache[key] = train.pretrain(corpus, cfg, plan)[0]
             timings[f"pretrain[{row['name']}]"] = time.monotonic() - t0
         pretrained = model_cache[key]
-        base_windows = [w for cw in corpus for w in cw.windows
-                        if (w.sed_labels != 0).any()][: spec.base_window_pool]
         counts = {}
         t0 = time.monotonic()
         for i, (wav_path, csv_path) in enumerate(manifest["novel"]):

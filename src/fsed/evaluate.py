@@ -126,12 +126,3 @@ def fscore(counts_per_clip: dict[str, tuple[int, int, int]]) -> ScoreReport:
         report.per_clip[clip_id] = sub.as_dict()
     return report
 
-
-def fuse_fold_predictions(prob_lists: list[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of aligned per-frame probabilities."""
-    if not prob_lists:
-        raise ValidationError("nothing to fuse")
-    lengths = {len(p) for p in prob_lists}
-    if len(lengths) != 1:
-        raise ValidationError(f"length mismatch across folds: {sorted(lengths)}")
-    return np.mean(np.asarray(prob_lists, dtype=np.float64), axis=0)

@@ -400,21 +400,18 @@ def _bin_probs(model: M.ModelParams, prefix: np.ndarray, win: int) -> np.ndarray
 
 def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
                         cfg: RunConfig, seed: int,
-                        prefixes: list[np.ndarray] | None = None) -> dict:
+                        prefixes: list[np.ndarray]) -> dict:
     """Self-training on confident query frames (p >= hi is POS, p <= lo is
     NEG, the rest masked out). Returns per-cycle statistics.
 
-    Blocks 0-1 are not trained here, so every pass starts from each query
-    window's blocks 0-1 output: `prefixes` when given (as
-    `TaskContext.cache_prefixes` makes them), otherwise computed once.
+    Blocks 0-1 are not trained here, so every pass starts from `prefixes`,
+    each query window's blocks 0-1 output (as `TaskContext.cache_prefixes`
+    makes them).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x95E0]))
     stats = {"cycles_run": 0, "cycles_skipped": 0}
     win = cfg.win_frames
     trainable = _trainable(model, SED_TRAINABLE)
-    if prefixes is None and cfg.pseudo_cycles > 0:
-        prefixes = [M.backbone_prefix(model, w.features).data
-                    for w in query_windows]
     for _ in range(cfg.pseudo_cycles):
         labeled = []
         for w, prefix in zip(query_windows, prefixes):
@@ -468,17 +465,14 @@ def finetune_sfbc(model: M.ModelParams, supports: ReconstructedSupports,
     precomputed = []
     for w in supports.support2:
         emb = M.backbone_forward(model, w.features, training=False)
-        tokens = M.sfbc_tokens(model, emb, ad.Tensor(center))
-        if cfg.use_transformer:
-            tokens = model.tf(tokens)
+        tokens = M.sfbc_tokens(model, emb, center, cfg.use_transformer)
         precomputed.append((tokens.data, w.sfbc_labels, w.train_mask))
     optimizer = ad.Adam(params, lr=cfg.lr_sfbc)
     for _ in range(cfg.iters):
         optimizer.zero_grad()
         losses = []
         for tokens, labels, mask in precomputed:
-            logits = ad.repeat_upsample(model.decoder_sfbc(ad.Tensor(tokens)),
-                                        M.TIME_REDUCTION, win)
+            logits = M.sfbc_decode(model, tokens, win)
             losses.append(ad.masked_softmax_ce(logits, labels, mask))
         _mean_loss(losses).backward()
         optimizer.step()
@@ -535,12 +529,9 @@ def detect(task_model: TaskModel, ctx: TaskContext) -> np.ndarray:
         emb = M.backbone_suffix(model, prefix)
         p = positive_prob(M.bin_forward(model, emb, win).data)
         if cfg.multitask and task_model.sfbc_center is not None:
-            tokens = M.sfbc_tokens(model, emb, ad.Tensor(task_model.sfbc_center))
-            if cfg.use_transformer:
-                tokens = model.tf(tokens)
-            sl = ad.repeat_upsample(model.decoder_sfbc(tokens),
-                                    M.TIME_REDUCTION, win).data
-            p = 0.5 * (p + positive_prob(sl))
+            tokens = M.sfbc_tokens(model, emb, task_model.sfbc_center,
+                                   cfg.use_transformer)
+            p = 0.5 * (p + positive_prob(M.sfbc_decode(model, tokens, win).data))
         n = w.valid_frames
         a = w.window_start_frame
         acc[a:a + n] += p[:n]

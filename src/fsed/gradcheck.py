@@ -95,12 +95,15 @@ def check_softmax(seeds):
 
 
 def check_matmul(seeds):
-    def build(rng):
-        a = _param(rng, (3, 4))
-        b = _param(rng, (4, 2))
-        return (lambda: _scalarize(np.random.default_rng(0),
-                                   ad.matmul(a, b))), [a, b]
-    return _check(build, seeds)
+    def builder(shape_a, shape_b):
+        def build(rng):
+            a = _param(rng, shape_a)
+            b = _param(rng, shape_b)
+            return (lambda: _scalarize(np.random.default_rng(0),
+                                       ad.matmul(a, b))), [a, b]
+        return build
+    return max(_check(builder((3, 4), (4, 2)), seeds),
+               _check(builder((2, 3, 4), (2, 4, 2)), seeds))  # stacked
 
 
 def check_attention(seeds):

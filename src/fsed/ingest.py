@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-import wave
+import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -128,6 +128,9 @@ class RunConfig:
     iou_min: float = 0.3
 
     def __post_init__(self):
+        for key in ("heads", "hop", "n_fft"):
+            if getattr(self, key) <= 0:
+                raise ConfigError(f"need {key} > 0")
         if not (self.win_frames > self.shift_frames > 0):
             raise ConfigError("need win_frames > shift_frames > 0")
         if self.aug_db_low >= self.aug_db_high:
@@ -203,11 +206,7 @@ def read_wav(path) -> AudioClip:
         from scipy.io import wavfile
 
         rate, data = wavfile.read(str(path))
-    except OSError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
-    except wave.Error as exc:  # pragma: no cover - scipy does not raise this
+    except (OSError, ValueError, struct.error) as exc:  # struct: short header
         raise FormatError(f"{path}: {exc}") from exc
     if data.dtype == np.int16:
         samples = data / 2.0**15
@@ -270,6 +269,8 @@ def _annotation_rows(fh: io.TextIOBase, name: str):
     ):
         raise FormatError(f"{name}: header must contain {', '.join(_REQUIRED_COLUMNS)}")
     for rownum, row in enumerate(reader, 2):
+        if any(row[c] is None for c in _REQUIRED_COLUMNS):
+            raise FormatError(f"{name}: row {rownum}: fewer columns than the header")
         q = row["Q"].strip()
         if q in ("NEG", "UNK"):
             continue

@@ -234,11 +234,18 @@ def reduce_pos_mask(labels: np.ndarray, target_class: int, t_reduced: int) -> np
     return mask
 
 
-def sfbc_tokens(model: ModelParams, sed_emb: ad.Tensor,
-                pos_center: ad.Tensor) -> ad.Tensor:
-    """Stack the repeated POS-center channel with the SED embedding."""
+def sfbc_tokens(model: ModelParams, sed_emb: ad.Tensor, pos_center,
+                use_transformer: bool) -> ad.Tensor:
+    """Tokens (center, sed_emb[t]): the repeated POS center stacked with the
+    SED embedding, through the shared transformer layer when it is used."""
     center_rep = ad.repeat_rows(pos_center, sed_emb.shape[0])
-    return ad.concat([center_rep, sed_emb], axis=1)
+    tokens = ad.concat([center_rep, sed_emb], axis=1)
+    return model.tf(tokens) if use_transformer else tokens
+
+
+def sfbc_decode(model: ModelParams, tokens, target: int) -> ad.Tensor:
+    """SFBC decoder logits per token, upsampled to `target` frames."""
+    return ad.repeat_upsample(model.decoder_sfbc(tokens), TIME_REDUCTION, target)
 
 
 def sfbc_forward(model: ModelParams, sed_emb: ad.Tensor, tc_emb: ad.Tensor,
@@ -253,7 +260,5 @@ def sfbc_forward(model: ModelParams, sed_emb: ad.Tensor, tc_emb: ad.Tensor,
     if not np.any(tc_pos_mask):
         raise SelectionError("TC window has no POS frames; center undefined")
     center = ad.masked_mean_rows(tc_emb, tc_pos_mask)
-    tokens = sfbc_tokens(model, sed_emb, center)
-    if use_transformer:
-        tokens = model.tf(tokens)
-    return ad.repeat_upsample(model.decoder_sfbc(tokens), TIME_REDUCTION, target)
+    return sfbc_decode(model, sfbc_tokens(model, sed_emb, center, use_transformer),
+                       target)

@@ -137,6 +137,56 @@ class TestAttention:
         with pytest.raises(ConfigError):
             ad.MultiHeadAttention(10, 4, np.random.default_rng(0))
 
+    @staticmethod
+    def _per_head_loop(mha, x):
+        """Reference: each head on its own column slice, then concatenated."""
+        def columns(t, a, b):
+            def backward(g):
+                full = np.zeros_like(t.data)
+                full[:, a:b] += g
+                t._accumulate(full)
+            return ad._node(t.data[:, a:b], (t,), backward)
+
+        dh = mha.dim // mha.heads
+        q = ad.linear(x, mha.wq, mha.bq)
+        k = ad.linear(x, mha.wk, mha.bk)
+        v = ad.linear(x, mha.wv, mha.bv)
+        outs = []
+        for h in range(mha.heads):
+            qh, kh, vh = (columns(t, h * dh, (h + 1) * dh) for t in (q, k, v))
+            scores = ad.mul(ad.matmul(qh, ad.transpose(kh)), 1.0 / np.sqrt(dh))
+            outs.append(ad.matmul(ad.softmax(scores, axis=-1), vh))
+        return ad.linear(ad.concat(outs, axis=1), mha.wo, mha.bo)
+
+    @staticmethod
+    def _graph_nodes(out):
+        seen, stack = {id(out)}, [out]
+        while stack:
+            for p in stack.pop()._parents:
+                if id(p) not in seen:
+                    seen.add(id(p))
+                    stack.append(p)
+        return len(seen)
+
+    def test_batched_heads_match_per_head_loop(self):
+        rng = np.random.default_rng(11)
+        mha = ad.MultiHeadAttention(64, 8, rng)
+        x = rand_tensor(rng, (108, 64))
+        weight = rng.normal(size=(108, 64))
+        tensors = [x] + list(mha.parameters().values())
+        results = []
+        for forward in (mha, lambda *a: self._per_head_loop(mha, a[0])):
+            for t in tensors:
+                t.zero_grad()
+            out = forward(x, x, x)
+            ad.tsum(ad.mul(out, weight)).backward()
+            results.append((out, [t.grad.tobytes() for t in tensors]))
+        (batched, grads), (loop, loop_grads) = results
+        assert batched.data.tobytes() == loop.data.tobytes()
+        assert grads == loop_grads
+        # one stacked op per step instead of one per head
+        assert self._graph_nodes(batched) < self._graph_nodes(loop)
+
 
 class TestTransformerLayer:
     def test_zero_input_zero_output(self):

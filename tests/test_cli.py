@@ -85,6 +85,15 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err.splitlines()
         assert sum(line.startswith("error [") for line in err) == 1
 
+    def test_short_row_exits_one(self, tmp_path, capsys):
+        pred = tmp_path / "pred.csv"
+        ref = tmp_path / "ref.csv"
+        pred.write_text(self.HEADER + "a.wav,1.0,2.0,POS\n")
+        ref.write_text(self.HEADER + "a.wav,1.0\n")
+        assert main(["evaluate", "--pred", str(pred), "--ref", str(ref)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error [") for line in err) == 1
+
 
 class TestFinetuneDetect:
     TINY = ("channels = 4\nembed_dim = 4\nheads = 2\nffn_dim = 8\n"
@@ -157,6 +166,17 @@ class TestConfigPlumbing:
         assert main(["--config", str(cfg), "gradcheck"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error [ConfigError]: {cfg}:2:")
+
+    @pytest.mark.parametrize("key", ["heads", "hop", "n_fft"])
+    def test_zero_value_exits_one(self, tmp_path, capsys, key):
+        wav = tmp_path / "a.wav"
+        write_wav(wav, AudioClip(np.zeros(4410), 22050))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = 0\n")
+        assert main(["--config", str(cfg), "features", str(wav),
+                     "-o", str(tmp_path / "a.pcen")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [ConfigError]")
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.cfg"), "gradcheck"]) == 1

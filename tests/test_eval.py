@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from fsed.errors import ValidationError
-from fsed.evaluate import (Event, EventList, decode_events, fscore,
-                           fuse_fold_predictions, match_events)
+from fsed.evaluate import Event, EventList, decode_events, fscore, match_events
 
 DT = 256 / 22050
 
@@ -163,23 +162,3 @@ class TestFscore:
         with pytest.raises(ValidationError):
             fscore({"a": (1, -1, 0)})
 
-
-class TestFuseFolds:
-    def test_identity_single_model(self):
-        p = np.array([0.1, 0.9, 0.3])
-        assert np.array_equal(fuse_fold_predictions([p]), p)
-
-    def test_mean(self):
-        fused = fuse_fold_predictions([np.array([0.2]), np.array([0.8])])
-        assert fused[0] == pytest.approx(0.5)
-
-    def test_permutation_invariant(self):
-        rng = np.random.default_rng(3)
-        lists = [rng.uniform(0, 1, 10) for _ in range(4)]
-        a = fuse_fold_predictions(lists)
-        b = fuse_fold_predictions(lists[::-1])
-        assert a == pytest.approx(b)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValidationError):
-            fuse_fold_predictions([np.zeros(3), np.zeros(4)])

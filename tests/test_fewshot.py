@@ -272,11 +272,16 @@ class TestPseudoLabels:
                             window_start_frame=32 * i, source_id="q")
                 for i in range(n)]
 
+    @staticmethod
+    def _refine(model, windows, cfg):
+        prefixes = [M.backbone_prefix(model, w.features).data for w in windows]
+        return fs.pseudo_label_refine(model, windows, cfg, 0, prefixes)
+
     def test_zero_cycles_unchanged(self):
         cfg = dataclasses.replace(TINY, pseudo_cycles=0)
         model = tiny_model()
         before = model.snapshot()
-        stats = fs.pseudo_label_refine(model, self._query_windows(), cfg, 0)
+        stats = self._refine(model, self._query_windows(), cfg)
         assert stats == {"cycles_run": 0, "cycles_skipped": 0}
         for k, v in model.state_arrays().items():
             assert np.array_equal(v, before[k])
@@ -286,7 +291,7 @@ class TestPseudoLabels:
         before = model.snapshot()
         monkeypatch.setattr(fs, "_bin_probs",
                             lambda m, f, w: np.full(w, 0.5))
-        stats = fs.pseudo_label_refine(model, self._query_windows(), TINY, 0)
+        stats = self._refine(model, self._query_windows(), TINY)
         assert stats["cycles_skipped"] == TINY.pseudo_cycles
         assert stats["cycles_run"] == 0
         for k, v in model.state_arrays().items():
@@ -295,7 +300,7 @@ class TestPseudoLabels:
     def test_confident_frames_trigger_training(self):
         model = tiny_model()
         before = model.snapshot()
-        stats = fs.pseudo_label_refine(model, self._query_windows(1), TINY, 0)
+        stats = self._refine(model, self._query_windows(1), TINY)
         if stats["cycles_run"]:
             assert any(not np.array_equal(before[n], model.state_arrays()[n])
                        for n in before if n.startswith("decoder_bin."))
@@ -402,7 +407,11 @@ class TestQueryPrefixCache:
         with_cache, without = fs.clone_model(tm.model), fs.clone_model(tm.model)
         stats = fs.pseudo_label_refine(with_cache, ctx.query_windows, cfg, 4,
                                        ctx.query_prefixes)
-        assert stats == fs.pseudo_label_refine(without, ctx.query_windows, cfg, 4)
+        # without the cache: each window's prefix computed afresh
+        fresh = [M.backbone_prefix(without, w.features).data
+                 for w in ctx.query_windows]
+        assert stats == fs.pseudo_label_refine(without, ctx.query_windows, cfg, 4,
+                                               fresh)
         assert stats["cycles_run"] == 2
         a, b = with_cache.state_arrays(), without.state_arrays()
         assert all(a[k].tobytes() == b[k].tobytes() for k in a)

@@ -42,6 +42,12 @@ class TestReadWav:
         with pytest.raises(FormatError):
             read_wav(path)
 
+    def test_truncated_riff_header(self, tmp_path):
+        path = tmp_path / "short.wav"
+        path.write_bytes(b"RIFF$\0\0\0WAVEfmt ")
+        with pytest.raises(FormatError):
+            read_wav(path)
+
     def test_roundtrip_16bit_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         raw = rng.integers(-2**15, 2**15, 1000)
@@ -77,6 +83,12 @@ class TestAnnotations:
     def test_missing_column(self):
         with pytest.raises(FormatError):
             parse_annotations(io.StringIO("Audiofilename,Starttime\na,1\n"))
+
+    @pytest.mark.parametrize("row", ["a.wav,1.0", "a.wav,1.0,2.0"])
+    def test_short_row_rejected(self, row):
+        with pytest.raises(FormatError, match="row 3"):
+            parse_annotations(io.StringIO(self.HEADER + "a.wav,0.5,0.8,POS\n"
+                                          + row + "\n"))
 
     def test_grouped_reader(self, tmp_path):
         path = tmp_path / "g.csv"
