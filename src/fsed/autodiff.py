@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import struct
 
 import numpy as np
@@ -67,22 +68,6 @@ class Tensor:
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
         self.grad += g
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, mul(other, -1.0) if isinstance(other, Tensor) else -other)
 
 
 def _as_tensor(x) -> Tensor:
@@ -553,9 +538,8 @@ class TransformerEncoderLayer(Module):
         self.ln2_g = Tensor(np.ones(dim), requires_grad=True)
         self.ln2_b = Tensor(np.zeros(dim), requires_grad=True)
 
-    def __call__(self, x, add_positions: bool = True):
-        if add_positions:
-            x = add(x, sinusoidal_positions(x.shape[0], self.dim))
+    def __call__(self, x):
+        x = add(x, sinusoidal_positions(x.shape[0], self.dim))
         h = layer_norm(x, self.ln1_g, self.ln1_b)
         x = add(x, self.mha(h, h, h))
         h = layer_norm(x, self.ln2_g, self.ln2_b)
@@ -661,12 +645,13 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             name = fh.read(nlen).decode("utf-8")
             (ndim,) = struct.unpack("<I", fh.read(4))
             shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if shape else 1
+            n = math.prod(shape)  # exact: np.prod would wrap at 2**63
             data = np.frombuffer(fh.read(8 * n), dtype="<f8")
             if data.size != n:
                 raise FormatError(f"{path}: truncated record {name}")
             arrays[name] = data.reshape(shape).copy()
-    except (OSError, struct.error, ValueError) as exc:  # ValueError: JSON, UTF-8
+    # ValueError: JSON, UTF-8; OverflowError: a corrupt shape too large to read
+    except (OSError, struct.error, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: unreadable checkpoint: {exc}") from exc
     return arrays, hyper
 

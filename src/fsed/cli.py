@@ -220,7 +220,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except FsedError as exc:
+    except (FsedError, OSError) as exc:  # OSError: an output path not writable
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from scipy.signal import get_window, resample_poly
@@ -174,20 +175,21 @@ def write_features(path, feats: FrameFeatures) -> None:
 
 def read_features(path) -> FrameFeatures:
     try:
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _FEATURE_MAGIC:
-                raise FormatError(f"{path}: bad magic {magic!r}")
-            version, t, bands = struct.unpack("<III", fh.read(12))
-            if version != _FEATURE_VERSION:
-                raise FormatError(f"{path}: unsupported version {version}")
-            data = np.frombuffer(fh.read(t * bands * 4), dtype="<f4")
-            if data.size != t * bands:
-                raise FormatError(f"{path}: truncated data")
-            (period,) = struct.unpack("<d", fh.read(8))
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise FormatError(f"{path}: cannot read feature dump: {exc}") from exc
-    except struct.error as exc:
-        raise FormatError(f"{path}: truncated header or trailer: {exc}") from exc
+    if raw[:4] != _FEATURE_MAGIC:
+        raise FormatError(f"{path}: bad magic {raw[:4]!r}")
+    if len(raw) < 16:
+        raise FormatError(f"{path}: truncated header")
+    version, t, bands = struct.unpack_from("<III", raw, 4)
+    if version != _FEATURE_VERSION:
+        raise FormatError(f"{path}: unsupported version {version}")
+    # check the size the header implies before allocating anything for it
+    if len(raw) != 16 + 4 * t * bands + 8:
+        raise FormatError(f"{path}: {len(raw)} bytes, but a {t} x {bands} dump "
+                          f"has {16 + 4 * t * bands + 8}")
+    data = np.frombuffer(raw, dtype="<f4", count=t * bands, offset=16)
+    (period,) = struct.unpack_from("<d", raw, 16 + 4 * t * bands)
     return FrameFeatures(values=data.reshape(t, bands).astype(np.float64),
                          frame_period_s=period)

@@ -124,7 +124,7 @@ def shot_embedding(model: M.ModelParams, features: np.ndarray,
     hi = max(hi, lo + 1)
     mask = np.zeros(emb.shape[0])
     mask[lo:hi] = 1.0
-    return (emb * mask[:, None]).sum(axis=0) / mask.sum()
+    return ad.masked_mean_rows(emb, mask).data
 
 
 def pos_center(shot_embs: list[np.ndarray]) -> np.ndarray:
@@ -445,7 +445,7 @@ def _sfbc_center_from_support1(model: M.ModelParams,
         mask = M.reduce_pos_mask(w.sed_labels, 1, emb.shape[0])
         if not mask.any():
             continue
-        embs.append((emb * mask[:, None]).sum(axis=0) / mask.sum())
+        embs.append(ad.masked_mean_rows(emb, mask).data)
     if not embs:
         return None
     return np.mean(embs, axis=0)

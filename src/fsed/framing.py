@@ -25,10 +25,6 @@ class ClassMap:
     def from_names(cls, names) -> "ClassMap":
         return cls({name: i + 1 for i, name in enumerate(sorted(set(names)))})
 
-    @property
-    def num_classes(self) -> int:
-        return len(self.name_to_index) + 1
-
     def index(self, name: str) -> int:
         try:
             return self.name_to_index[name]

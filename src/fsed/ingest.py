@@ -6,6 +6,7 @@ Audiofilename, Starttime, Endtime, Q where Q is POS/NEG/UNK or a class name.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -61,6 +62,10 @@ class SupportTask:
     pos_events: list[AnnotationEvent]
     neg_intervals: list[AnnotationEvent]
     query_start_s: float
+
+
+# the backbone's mel-axis pooling; mel_bands must be a multiple of it
+MEL_REDUCTION = 16
 
 
 @dataclass
@@ -128,9 +133,12 @@ class RunConfig:
     iou_min: float = 0.3
 
     def __post_init__(self):
-        for key in ("heads", "hop", "n_fft"):
+        for key in ("heads", "hop", "n_fft", "sample_rate", "channels",
+                    "embed_dim", "ffn_dim"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"need {key} > 0")
+        if self.mel_bands <= 0 or self.mel_bands % MEL_REDUCTION:
+            raise ConfigError(f"need mel_bands a positive multiple of {MEL_REDUCTION}")
         if not (self.win_frames > self.shift_frames > 0):
             raise ConfigError("need win_frames > shift_frames > 0")
         if self.aug_db_low >= self.aug_db_high:
@@ -206,7 +214,11 @@ def read_wav(path) -> AudioClip:
         from scipy.io import wavfile
 
         rate, data = wavfile.read(str(path))
-    except (OSError, ValueError, struct.error) as exc:  # struct: short header
+    # scipy's parser also fails with struct.error on a short header,
+    # ZeroDivisionError on a zero block size and UnboundLocalError when the
+    # data chunk is missing
+    except (OSError, ValueError, struct.error, ZeroDivisionError,
+            UnboundLocalError) as exc:
         raise FormatError(f"{path}: {exc}") from exc
     if data.dtype == np.int16:
         samples = data / 2.0**15
@@ -244,7 +256,7 @@ def read_annotations(path) -> list[AnnotationEvent]:
     NEG and UNK rows are skipped (unlabeled for support construction); any
     other Q value is kept as the event's class label.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _annotation_file(path) as fh:
         return parse_annotations(fh, name=str(path))
 
 
@@ -255,10 +267,20 @@ def parse_annotations(fh: io.TextIOBase, name="<csv>") -> list[AnnotationEvent]:
 def read_annotations_by_file(path) -> dict[str, list[AnnotationEvent]]:
     """Like read_annotations, grouped by the Audiofilename column."""
     groups: dict[str, list[AnnotationEvent]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _annotation_file(path) as fh:
         for filename, event in _annotation_rows(fh, str(path)):
             groups.setdefault(filename, []).append(event)
     return groups
+
+
+@contextlib.contextmanager
+def _annotation_file(path):
+    """The CSV opened for reading; unreadable bytes raise FormatError."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise FormatError(f"{path}: cannot read annotations: {exc}") from exc
 
 
 def _annotation_rows(fh: io.TextIOBase, name: str):

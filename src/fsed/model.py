@@ -9,23 +9,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import math
 
 import numpy as np
 
 from . import autodiff as ad
 from .errors import FormatError, SelectionError, ShapeError
 from .framing import WindowBatch
-from .ingest import RunConfig
+from .ingest import MEL_REDUCTION, RunConfig
 
 TIME_REDUCTION = 4
-MEL_REDUCTION = 16
 # blocks 1-2 pool time and mel, blocks 3-4 pool mel only
 _POOLS = ((2, 2), (2, 2), (1, 2), (1, 2))
-
-
-def reduced_time(t: int) -> int:
-    return math.ceil(math.ceil(t / 2) / 2)
 
 
 class ConvBlock(ad.Module):

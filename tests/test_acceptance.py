@@ -201,6 +201,7 @@ def test_criterion_07_optimizer_schedule():
 
 # -- 8 ----------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_08_end_to_end_benchmark(tmp_path):
     t0 = time.monotonic()
     for name in ("run1", "run2"):

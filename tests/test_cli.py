@@ -178,7 +178,56 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [ConfigError]")
 
+    @pytest.mark.parametrize("key,value,command", [
+        ("mel_bands", 24, "features"), ("mel_bands", 0, "features"),
+        ("sample_rate", 0, "synth-data")])
+    def test_unusable_value_exits_one(self, tmp_path, capsys, key, value, command):
+        wav = tmp_path / "a.wav"
+        write_wav(wav, AudioClip(np.zeros(4410), 22050))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args = ([str(wav), "-o", str(tmp_path / "a.pcen")] if command == "features"
+                else ["--out", str(tmp_path / "data")])
+        assert main(["--config", str(cfg), command, *args]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error [ConfigError]")
+
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["--config", str(tmp_path / "none.cfg"), "gradcheck"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error [ConfigError]")
+
+
+class TestErrorExits:
+    """Each command reports a failure as exit 1 and one `error [` line; an
+    exception escaping `main` (a traceback) fails the test."""
+
+    @staticmethod
+    def _run_fails(capsys, argv):
+        assert main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert sum(line.startswith("error [") for line in err) == 1
+
+    def test_synth_data_out_is_a_file(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("")
+        self._run_fails(capsys, ["synth-data", "--out", str(out)])
+
+    def test_pretrain_without_wavs(self, tmp_path, capsys):
+        self._run_fails(capsys, ["pretrain", "--data", str(tmp_path),
+                                 "--out", str(tmp_path / "ckpts")])
+
+    def test_finetune_missing_checkpoint(self, tmp_path, capsys):
+        self._run_fails(capsys, ["finetune", "--ckpt", str(tmp_path / "none.ckpt"),
+                                 "--task", str(tmp_path / "t.wav"),
+                                 "--out", str(tmp_path / "task.ckpt")])
+
+    def test_detect_truncated_task_checkpoint(self, tmp_path, capsys):
+        cfg_path = tmp_path / "tiny.cfg"
+        cfg_path.write_text(TestFinetuneDetect.TINY)
+        ckpt = tmp_path / "task.ckpt"
+        ModelParams(load_config(cfg_path), n_classes=3, seed=0).save(ckpt)
+        ckpt.write_bytes(ckpt.read_bytes()[:-100])
+        self._run_fails(capsys, ["detect", "--task-ckpt", str(ckpt),
+                                 "--task", str(tmp_path / "t.wav"),
+                                 "--out", str(tmp_path / "pred.csv")])

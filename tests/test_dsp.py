@@ -190,6 +190,19 @@ class TestFeatureDump:
         with pytest.raises(FormatError):
             read_features(tmp_path / "absent.pcen")
 
+    @pytest.mark.parametrize("case", ["data_not_multiple_of_4", "huge_t"])
+    def test_size_disagrees_with_header(self, tmp_path, case):
+        path = tmp_path / "t.pcen"
+        write_features(path, FrameFeatures(np.ones((4, 8)), 0.01))
+        raw = bytearray(path.read_bytes())
+        if case == "data_not_multiple_of_4":
+            del raw[-10:]  # the period and two bytes of data
+        else:
+            raw[11] ^= 0x80  # high bit of T: a 64 GB data part
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="t.pcen"):
+            read_features(path)
+
 
 def test_extract_features_shape():
     feats = extract_features(tone(440, 1.0, 44100), CFG)

@@ -19,7 +19,6 @@ class TestClassMap:
     def test_background_reserved(self):
         cm = ClassMap.from_names(["dog", "cat"])
         assert cm.index("cat") == 1 and cm.index("dog") == 2
-        assert cm.num_classes == 3
 
     def test_unknown_name(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from fsed.errors import FormatError, GenerationError, TaskError, ValidationError
+from fsed.errors import (ConfigError, FormatError, GenerationError, TaskError,
+                         ValidationError)
 from fsed.ingest import (AnnotationEvent, AudioClip, RunConfig, SynthSpec,
                          load_config, make_support_task, parse_annotations,
                          read_annotations, read_annotations_by_file, read_wav,
@@ -90,6 +91,13 @@ class TestAnnotations:
             parse_annotations(io.StringIO(self.HEADER + "a.wav,0.5,0.8,POS\n"
                                           + row + "\n"))
 
+    def test_non_utf8_byte_raises_format_error(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(self.HEADER.encode() + b"a.wav,1.0,1.5,P\xffS\n")
+        for reader in (read_annotations, read_annotations_by_file):
+            with pytest.raises(FormatError, match="bad.csv"):
+                reader(path)
+
     def test_grouped_reader(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text(self.HEADER + "a.wav,1,2,POS\nb.wav,3,4,POS\na.wav,5,6,POS\n")
@@ -155,6 +163,12 @@ class TestConfig:
         cfg = load_config(path)
         assert cfg.hop == 128 and cfg.channels == 16 and cfg.multitask is False
         assert cfg.n_fft == 1024  # untouched default
+
+    @pytest.mark.parametrize("key", ["channels", "embed_dim", "ffn_dim"])
+    def test_zero_model_size_rejected(self, key):
+        # a corrupt checkpoint can carry these; 0 channels divided by zero
+        with pytest.raises(ConfigError, match=key):
+            RunConfig(**{key: 0})
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"

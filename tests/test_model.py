@@ -27,7 +27,6 @@ class TestBackbone:
     def test_embedding_shape(self, model):
         emb = mdl.backbone_forward(model, rand_window(0))
         assert emb.shape == (108, CFG.embed_dim)
-        assert mdl.reduced_time(431) == 108
 
     def test_zero_input_zero_embedding(self):
         m = mdl.ModelParams(CFG, 3, seed=1)
@@ -267,6 +266,17 @@ class TestCheckpointing:
             mdl.ModelParams.from_checkpoint(path, RunConfig())
         with pytest.raises(FormatError):
             fs.TaskModel.load(path, RunConfig())
+
+    def test_corrupt_shape_field_raises_format_error(self, tmp_path, model):
+        path = tmp_path / "bad.ckpt"
+        arrays = {"w": np.zeros((2, 3))}
+        ad.save_checkpoint(path, arrays, model.hyper())
+        raw = path.read_bytes()
+        # the record's two u32 dims sit just before its 48 data bytes
+        dims = (2**31).to_bytes(4, "little") + (2**30).to_bytes(4, "little")
+        path.write_bytes(raw[:-56] + dims + raw[-48:])
+        with pytest.raises(FormatError, match="bad.ckpt"):
+            ad.load_checkpoint(path)
 
 
 class TestRepeatUpsampleGeometry:
