@@ -243,10 +243,9 @@ def masked_mean_rows(x, mask):
 # NN primitives
 # ---------------------------------------------------------------------------
 
-def linear(x, w, b=None):
+def linear(x, w, b):
     """[.. x I] @ [I x O] + b."""
-    out = matmul(x, w)
-    return add(out, b) if b is not None else out
+    return add(matmul(x, w), b)
 
 
 def conv2d(x, w, b):

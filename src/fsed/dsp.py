@@ -14,21 +14,14 @@ from pathlib import Path
 import numpy as np
 from scipy.signal import get_window, resample_poly
 
-from .errors import FormatError, ValidationError
+from .errors import ConfigError, FormatError, ValidationError
 from .ingest import AudioClip, RunConfig
 
 
 @dataclass
-class MelFrames:
-    """Non-negative mel-band energies, [T frames x mel bands]."""
-
-    values: np.ndarray
-    frame_period_s: float
-
-
-@dataclass
 class FrameFeatures:
-    """PCEN outputs, [T x mel bands]."""
+    """[T frames x mel bands]: mel-band energies from `stft_mel`, PCEN
+    outputs from `pcen`."""
 
     values: np.ndarray
     frame_period_s: float
@@ -106,7 +99,7 @@ def mel_band_centers_hz(n_mels: int, sample_rate: int, fmin: float = 0.0,
     return _mel_to_hz(mel_pts)[1:-1]
 
 
-def stft_mel(clip: AudioClip, cfg: RunConfig) -> MelFrames:
+def stft_mel(clip: AudioClip, cfg: RunConfig) -> FrameFeatures:
     """Power STFT (Hann, centered, reflect-padded) through the mel filterbank.
 
     T = 1 + len // hop frames.
@@ -125,11 +118,15 @@ def stft_mel(clip: AudioClip, cfg: RunConfig) -> MelFrames:
     spec = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
     fb = mel_filterbank(cfg.mel_bands, n_fft, clip.sample_rate, cfg.fmin,
                         cfg.mel_fmax)
+    empty = int(np.sum(~fb.any(axis=1)))
+    if empty:
+        raise ConfigError(f"{empty} of {cfg.mel_bands} mel bands cover no FFT bin "
+                          f"(fmin {cfg.fmin:g}, fmax {cfg.mel_fmax:g} Hz, n_fft {n_fft})")
     mel = spec @ fb.T
-    return MelFrames(values=mel, frame_period_s=hop / clip.sample_rate)
+    return FrameFeatures(values=mel, frame_period_s=hop / clip.sample_rate)
 
 
-def pcen(mel: MelFrames, cfg: RunConfig) -> FrameFeatures:
+def pcen(mel: FrameFeatures, cfg: RunConfig) -> FrameFeatures:
     """Per-channel energy normalization.
 
     Smoother: M[0] = E[0], M[t] = (1-s) M[t-1] + s E[t].

@@ -71,6 +71,9 @@ def build_task_context(clip: AudioClip, task: SupportTask,
     pos = []
     for ev in task.pos_events:
         a, b = _time_to_frames(ev.onset_s, ev.offset_s, period)
+        if a >= t:
+            raise TaskError(f"POS shot at {ev.onset_s:g} s has no frame in the "
+                            f"clip ({t} frames of {period:g} s)")
         if b <= a:
             b = a + 1  # sub-frame shots keep at least one frame
         pos.append((a, min(b, t)))
@@ -94,8 +97,7 @@ def _query_windows(features, start_frame, cfg) -> list[WindowBatch]:
     if len(region) == 0:
         return []
     labels = np.zeros(len(region), dtype=np.int64)
-    windows = segment_windows(region, labels, cfg.win_frames, cfg.shift_frames,
-                              source_id="query")
+    windows = segment_windows(region, labels, cfg.win_frames, cfg.shift_frames)
     for w in windows:
         w.window_start_frame += start_frame
     return windows
@@ -119,12 +121,9 @@ def shot_embedding(model: M.ModelParams, features: np.ndarray,
         window = np.concatenate([window, np.repeat(window[-1:],
                                                    win - len(window), axis=0)])
     emb = M.backbone_forward(model, window, training=False).data
-    lo = max(0, (a - start) // M.TIME_REDUCTION)
-    hi = min(emb.shape[0], -(-(b - start) // M.TIME_REDUCTION))
-    hi = max(hi, lo + 1)
-    mask = np.zeros(emb.shape[0])
-    mask[lo:hi] = 1.0
-    return ad.masked_mean_rows(emb, mask).data
+    labels = np.zeros(win, dtype=np.int64)
+    labels[max(0, a - start):b - start] = 1
+    return ad.masked_mean_rows(emb, M.reduce_pos_mask(labels, 1, emb.shape[0])).data
 
 
 def pos_center(shot_embs: list[np.ndarray]) -> np.ndarray:
@@ -214,7 +213,6 @@ def build_supports(pos_shots: list[np.ndarray], neg_pool: list[np.ndarray],
             out.append(WindowBatch(
                 features=feats, sed_labels=labels, sfbc_labels=labels.copy(),
                 train_mask=np.ones(win, dtype=np.int64), window_start_frame=0,
-                source_id="support",
                 provenance={"shot": shot_i, "offset": offset, "length": len(shot)},
             ))
         return out
@@ -226,33 +224,21 @@ def build_supports(pos_shots: list[np.ndarray], neg_pool: list[np.ndarray],
 # TimeFilterAug
 # ---------------------------------------------------------------------------
 
-@dataclass
-class AugSpec:
-    zones: int = 6
-    min_zone: int = 48
-    db_low: float = -6.0
-    db_high: float = 8.0
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig) -> "AugSpec":
-        return cls(zones=cfg.aug_zones, min_zone=cfg.aug_min_zone,
-                   db_low=cfg.aug_db_low, db_high=cfg.aug_db_high)
-
-
-def time_filter_aug(window: np.ndarray, spec: AugSpec, rng,
+def time_filter_aug(window: np.ndarray, cfg: RunConfig, rng,
                     knots: np.ndarray | None = None) -> np.ndarray:
-    """Piecewise-linear dB gain over random time zones.
+    """Piecewise-linear dB gain over at most cfg.aug_zones random time zones
+    of at least cfg.aug_min_zone frames.
 
     Gain factors g_0..g_m are uniform in [0,1]; within each zone the factor
     ramps linearly between consecutive knots (endpoints inclusive), mapped to
-    dB as db_low + (db_high - db_low) * g and applied as 10^(dB/20).
+    dB as aug_db_low + (aug_db_high - aug_db_low) * g and applied as 10^(dB/20).
     """
     n = len(window)
-    m = min(spec.zones, n // spec.min_zone)
+    m = min(cfg.aug_zones, n // cfg.aug_min_zone)
     if m < 1:
         return window.copy()
-    extra = n - m * spec.min_zone
-    lengths = spec.min_zone + rng.multinomial(extra, np.full(m, 1.0 / m))
+    extra = n - m * cfg.aug_min_zone
+    lengths = cfg.aug_min_zone + rng.multinomial(extra, np.full(m, 1.0 / m))
     if knots is None:
         knots = rng.uniform(0.0, 1.0, m + 1)
     else:
@@ -261,7 +247,7 @@ def time_filter_aug(window: np.ndarray, spec: AugSpec, rng,
             raise ValidationError(f"need {m + 1} knots, got {len(knots)}")
     alpha = np.concatenate([np.linspace(knots[i], knots[i + 1], lengths[i])
                             for i in range(m)])
-    beta = spec.db_low + (spec.db_high - spec.db_low) * alpha
+    beta = cfg.aug_db_low + (cfg.aug_db_high - cfg.aug_db_low) * alpha
     return window * (10.0 ** (beta / 20.0))[:, None]
 
 
@@ -336,12 +322,6 @@ def graft_background_row(model: M.ModelParams, center: np.ndarray,
     model.decoder_sed.b.data[0] = 0.0
 
 
-def _binary_ce(model, window_feats, labels, mask, win_len):
-    emb = M.backbone_forward(model, window_feats, training=False)
-    logits = M.bin_forward(model, emb, win_len)
-    return ad.masked_softmax_ce(logits, labels, mask), emb
-
-
 def _mean_loss(losses: list[ad.Tensor]) -> ad.Tensor:
     """Sum left to right, then scale by 1/len."""
     total = losses[0]
@@ -359,7 +339,6 @@ def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5ED1]))
     pool = supports.support1 + supports.support2
     optimizer = ad.Adam(_trainable(model, SED_TRAINABLE), lr=cfg.lr_sed)
-    aug = AugSpec.from_config(cfg)
     win = cfg.win_frames
     for it in range(cfg.iters):
         optimizer.zero_grad()
@@ -368,9 +347,10 @@ def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
             w = pool[int(rng.integers(len(pool)))]
             feats = w.features
             if cfg.use_aug and it >= cfg.aug_start_iter:
-                feats = time_filter_aug(feats, aug, rng)
-            l_bin, emb = _binary_ce(model, feats, w.sfbc_labels, w.train_mask, win)
-            losses.append(l_bin)
+                feats = time_filter_aug(feats, cfg, rng)
+            emb = M.backbone_forward(model, feats, training=False)
+            losses.append(ad.masked_softmax_ce(M.bin_forward(model, emb, win),
+                                               w.sfbc_labels, w.train_mask))
             # mixed multi-class task: support POS frames count as class 0
             sed_logits = M.sed_forward(model, emb, win)
             losses.append(ad.masked_softmax_ce(
@@ -393,11 +373,6 @@ def positive_prob(logits: np.ndarray) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True))[:, 1]
 
 
-def _bin_probs(model: M.ModelParams, prefix: np.ndarray, win: int) -> np.ndarray:
-    emb = M.backbone_suffix(model, prefix)
-    return positive_prob(M.bin_forward(model, emb, win).data)
-
-
 def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
                         cfg: RunConfig, seed: int,
                         prefixes: list[np.ndarray]) -> dict:
@@ -415,7 +390,8 @@ def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
     for _ in range(cfg.pseudo_cycles):
         labeled = []
         for w, prefix in zip(query_windows, prefixes):
-            p = _bin_probs(model, prefix, win)
+            p = positive_prob(M.bin_forward(
+                model, M.backbone_suffix(model, prefix), win).data)
             labels = (p >= cfg.pseudo_hi).astype(np.int64)
             mask = ((p >= cfg.pseudo_hi) | (p <= cfg.pseudo_lo)).astype(np.int64)
             mask &= (np.arange(win) < w.valid_frames)

@@ -41,7 +41,6 @@ class WindowBatch:
     sfbc_labels: np.ndarray     # [win] ints in {0,1}
     train_mask: np.ndarray      # [win] ints in {0,1}
     window_start_frame: int
-    source_id: str
     pad_frames: int = 0
     provenance: dict = field(default_factory=dict)
 
@@ -63,7 +62,7 @@ def label_frames(n_frames: int, frame_period_s: float,
 
 
 def segment_windows(features: np.ndarray, labels: np.ndarray, win: int = 431,
-                    shift: int = 86, source_id: str = "") -> list[WindowBatch]:
+                    shift: int = 86) -> list[WindowBatch]:
     """Slice [T x bands] features into fixed windows starting every `shift`
     frames. A final partial window is right-padded by repeating the last
     frame; padded frames get label 0 and mask 0."""
@@ -94,7 +93,6 @@ def segment_windows(features: np.ndarray, labels: np.ndarray, win: int = 431,
             sfbc_labels=(labs != 0).astype(np.int64),
             train_mask=mask,
             window_start_frame=start,
-            source_id=source_id,
             pad_frames=pad,
         ))
     return out

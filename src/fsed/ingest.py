@@ -134,7 +134,8 @@ class RunConfig:
 
     def __post_init__(self):
         for key in ("heads", "hop", "n_fft", "sample_rate", "channels",
-                    "embed_dim", "ffn_dim"):
+                    "embed_dim", "ffn_dim", "aug_min_zone", "support_count",
+                    "finetune_batch", "step_size", "median_width"):
             if getattr(self, key) <= 0:
                 raise ConfigError(f"need {key} > 0")
         if self.mel_bands <= 0 or self.mel_bands % MEL_REDUCTION:

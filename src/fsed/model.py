@@ -38,10 +38,7 @@ class ConvBlock(ad.Module):
     def __call__(self, x, training: bool):
         x = ad.conv2d(x, self.w, self.b)
         x = ad.batchnorm2d(x, self.gamma, self.beta, self.bn_state, training)
-        x = ad.relu(x)
-        if self.pool != (1, 1):
-            x = ad.maxpool2d(x, self.pool)
-        return x
+        return ad.maxpool2d(ad.relu(x), self.pool)
 
 
 class Linear(ad.Module):
@@ -164,8 +161,6 @@ def backbone_prefix(model: ModelParams, window: np.ndarray,
 
 def backbone_suffix(model: ModelParams, x, training: bool = False) -> ad.Tensor:
     """Blocks 0-1 output (a Tensor or its array) -> [T' x embed] embedding."""
-    if not isinstance(x, ad.Tensor):
-        x = ad.Tensor(x)
     for blk in model.blocks[PREFIX_BLOCKS:]:
         x = blk(x, training)
     # [C x T' x mel'] -> [T' x C*mel']

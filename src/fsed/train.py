@@ -16,6 +16,7 @@ from . import autodiff as ad
 from . import model as M
 from .dsp import extract_features
 from .errors import ValidationError
+from .evaluate import ScoreReport
 from .framing import (ClassMap, WindowBatch, balanced_sample_indices,
                       build_overlap_mask, label_frames, segment_windows)
 from .ingest import AudioClip, AnnotationEvent, RunConfig
@@ -46,7 +47,7 @@ def prepare_clip(clip: AudioClip, events: list[AnnotationEvent],
     feats = extract_features(clip, cfg)
     labels = label_frames(len(feats.values), feats.frame_period_s, events, class_map)
     windows = segment_windows(feats.values, labels, cfg.win_frames,
-                              cfg.shift_frames, source_id=clip_id)
+                              cfg.shift_frames)
     return ClipWindows(clip_id, build_overlap_mask(windows))
 
 
@@ -147,7 +148,7 @@ def pretrain_epoch(model: M.ModelParams, corpus: list[ClipWindows],
 
 def holdout_frame_f(model: M.ModelParams, corpus: list[ClipWindows]) -> float:
     """Frame-level foreground F-score of the SED branch on holdout windows."""
-    tp = fp = fn = 0
+    counts = ScoreReport()
     for cw in corpus:
         for w in cw.windows:
             emb = M.backbone_forward(model, w.features, training=False)
@@ -155,11 +156,10 @@ def holdout_frame_f(model: M.ModelParams, corpus: list[ClipWindows]) -> float:
             pred_fg = logits.data.argmax(axis=1) != 0
             ref_fg = w.sfbc_labels.astype(bool)
             valid = np.arange(len(ref_fg)) < w.valid_frames
-            tp += int(np.sum(pred_fg & ref_fg & valid))
-            fp += int(np.sum(pred_fg & ~ref_fg & valid))
-            fn += int(np.sum(~pred_fg & ref_fg & valid))
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
+            counts.tp += int(np.sum(pred_fg & ref_fg & valid))
+            counts.fp += int(np.sum(pred_fg & ~ref_fg & valid))
+            counts.fn += int(np.sum(~pred_fg & ref_fg & valid))
+    return counts.f_score
 
 
 def kfold_split(clip_ids: list, k: int, seed: int) -> list[tuple[list, list]]:
@@ -178,31 +178,24 @@ def kfold_split(clip_ids: list, k: int, seed: int) -> list[tuple[list, list]]:
     return out
 
 
-def select_best_fold_model(checkpoints: list, metrics: list[float]):
-    """Checkpoint with max holdout metric; ties go to the earliest epoch."""
-    if not metrics or len(checkpoints) != len(metrics):
-        raise ValidationError("need one metric per checkpoint")
-    best = int(np.argmax(metrics))  # argmax returns the first maximum
-    return checkpoints[best]
-
-
 def train_fold(corpus: list[ClipWindows], holdout: list[ClipWindows],
                cfg: RunConfig, plan: TrainPlan, seed: int,
                log_rows: list | None = None) -> M.ModelParams:
-    """Train one fold; returns the model loaded with its best-epoch weights."""
+    """Train one fold; returns the model holding its best epoch's weights
+    (highest holdout F, else lowest loss; the earliest on a tie)."""
     n_classes = 1 + max((int(w.sed_labels.max()) for cw in corpus
                          for w in cw.windows), default=0)
     model = M.ModelParams(cfg, n_classes=max(n_classes, 2), seed=seed)
     optimizer = ad.Adam(model.parameters(), lr=cfg.lr_pretrain)
-    snapshots, metrics = [], []
+    best_metric, best_state = -np.inf, None
     for epoch in range(plan.epochs):
         stats = pretrain_epoch(model, corpus, optimizer, cfg, plan, epoch)
         metric = holdout_frame_f(model, holdout) if holdout else -stats["l_total"]
-        snapshots.append(model.snapshot())
-        metrics.append(metric)
+        if metric > best_metric:
+            best_metric, best_state = metric, model.snapshot()
         if log_rows is not None:
             log_rows.append({**stats, "holdout_f": metric if holdout else ""})
-    model.load_arrays(select_best_fold_model(snapshots, metrics))
+    model.load_arrays(best_state)
     return model
 
 

@@ -18,7 +18,7 @@ import pytest
 import fsed.autodiff as ad
 import fsed.fewshot as fs
 import fsed.model as M
-from fsed.dsp import MelFrames, pcen
+from fsed.dsp import FrameFeatures, pcen
 from fsed.evaluate import Event, EventList, match_events, _iou
 from fsed.framing import (ClassMap, build_overlap_mask, label_frames,
                           segment_windows)
@@ -54,7 +54,7 @@ def test_criterion_02_pcen_oracle():
     worst = 0.0
     for _ in range(50):
         E = rng.uniform(0, 10, (rng.integers(2, 30), rng.integers(1, 6)))
-        got = pcen(MelFrames(E, 0.01), cfg).values
+        got = pcen(FrameFeatures(E, 0.01), cfg).values
         s, a = cfg.pcen_s, cfg.pcen_alpha
         d, r, eps = cfg.pcen_delta, cfg.pcen_r, cfg.pcen_eps
         want = np.empty_like(E)
@@ -66,7 +66,7 @@ def test_criterion_02_pcen_oracle():
                 want[t, band] = (E[t, band] / (eps + m) ** a + d) ** r - d**r
         worst = max(worst, float(np.abs(got - want).max()))
     s1 = dataclasses.replace(cfg, pcen_s=1.0)
-    const = pcen(MelFrames(np.ones((4, 2)), 0.01), s1).values
+    const = pcen(FrameFeatures(np.ones((4, 2)), 0.01), s1).values
     ok = worst < 1e-10 and abs(const[0, 0] - 0.31784) < 1e-4
     _verdict(2, "PCEN matches scalar oracle; 0.31784 closed form", ok)
 
@@ -74,7 +74,7 @@ def test_criterion_02_pcen_oracle():
 # -- 3 ----------------------------------------------------------------------
 
 def test_criterion_03_time_filter_aug():
-    spec = fs.AugSpec()
+    spec = RunConfig()
     rng = np.random.default_rng(0xACC3)
     window = np.ones((431, 8))
     ok = True
@@ -83,7 +83,7 @@ def test_criterion_03_time_filter_aug():
         ok &= bool(np.all(out >= 0.50119 - 1e-5) and np.all(out <= 2.51189 + 1e-5))
     ident = fs.time_filter_aug(rng.uniform(0, 1, (431, 8)), spec, rng,
                                knots=np.full(7, 6.0 / 14.0))
-    ramp = fs.time_filter_aug(np.ones((3, 1)), fs.AugSpec(zones=1, min_zone=3),
+    ramp = fs.time_filter_aug(np.ones((3, 1)), RunConfig(aug_zones=1, aug_min_zone=3),
                               rng, knots=np.array([0.0, 1.0]))[:, 0]
     base = rng.uniform(0, 1, (431, 8))
     ident2 = fs.time_filter_aug(base, spec, rng, knots=np.full(7, 6.0 / 14.0))
@@ -161,7 +161,7 @@ def test_criterion_05_similarity_semantics():
                                sed_labels=np.zeros(4, dtype=int),
                                sfbc_labels=np.zeros(4, dtype=int),
                                train_mask=np.ones(4, dtype=int),
-                               window_start_frame=0, source_id="q")
+                               window_start_frame=0)
                    for i in range(n)]
         scores = rng.uniform(-1, 1, n).round(4).tolist()
         pool = fs.reconstruct_negatives(windows, scores, 1, [])

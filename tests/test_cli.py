@@ -167,7 +167,9 @@ class TestConfigPlumbing:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error [ConfigError]: {cfg}:2:")
 
-    @pytest.mark.parametrize("key", ["heads", "hop", "n_fft"])
+    @pytest.mark.parametrize("key", ["heads", "hop", "n_fft", "aug_min_zone",
+                                     "support_count", "finetune_batch",
+                                     "step_size", "median_width"])
     def test_zero_value_exits_one(self, tmp_path, capsys, key):
         wav = tmp_path / "a.wav"
         write_wav(wav, AudioClip(np.zeros(4410), 22050))
@@ -180,7 +182,8 @@ class TestConfigPlumbing:
 
     @pytest.mark.parametrize("key,value,command", [
         ("mel_bands", 24, "features"), ("mel_bands", 0, "features"),
-        ("sample_rate", 0, "synth-data")])
+        ("sample_rate", 0, "synth-data"), ("fmin", 20000, "features"),
+        ("n_fft", 3, "features"), ("fmax", 30000, "features")])
     def test_unusable_value_exits_one(self, tmp_path, capsys, key, value, command):
         wav = tmp_path / "a.wav"
         write_wav(wav, AudioClip(np.zeros(4410), 22050))

@@ -3,7 +3,7 @@ import pytest
 
 from fsed.dsp import (FrameFeatures, extract_features, mel_band_centers_hz,
                       mel_filterbank, pcen, read_features, resample,
-                      speed_perturb, stft_mel, write_features, MelFrames)
+                      speed_perturb, stft_mel, write_features)
 from fsed.errors import FormatError, ValidationError
 from fsed.ingest import AudioClip, RunConfig
 
@@ -105,14 +105,14 @@ class TestStftMel:
 
 class TestPcen:
     def test_zero_in_zero_out(self):
-        out = pcen(MelFrames(np.zeros((10, 4)), 0.01), CFG)
+        out = pcen(FrameFeatures(np.zeros((10, 4)), 0.01), CFG)
         assert np.all(out.values == 0)
 
     def test_constant_one_instant_smoother(self):
         import dataclasses
 
         cfg = dataclasses.replace(CFG, pcen_s=1.0)
-        out = pcen(MelFrames(np.ones((6, 3)), 0.01), cfg)
+        out = pcen(FrameFeatures(np.ones((6, 3)), 0.01), cfg)
         expected = (1.0 / (1.0 + 1e-6) ** 0.98 + 2.0) ** 0.5 - 2.0**0.5
         assert expected == pytest.approx(0.31784, abs=1e-4)
         assert out.values == pytest.approx(expected, abs=1e-12)
@@ -120,7 +120,7 @@ class TestPcen:
     def test_matches_scalar_recursion_oracle(self):
         rng = np.random.default_rng(42)
         E = rng.uniform(0, 5, (10, 3))
-        got = pcen(MelFrames(E, 0.01), CFG).values
+        got = pcen(FrameFeatures(E, 0.01), CFG).values
         s, a = CFG.pcen_s, CFG.pcen_alpha
         d, r, eps = CFG.pcen_delta, CFG.pcen_r, CFG.pcen_eps
         for band in range(3):
@@ -136,19 +136,19 @@ class TestPcen:
 
         cfg = dataclasses.replace(CFG, pcen_alpha=1.0, pcen_s=1.0)
         const = np.full((8, 2), 1000.0)  # large so eps=1e-6 is negligible
-        a = pcen(MelFrames(const, 0.01), cfg).values
-        b = pcen(MelFrames(10.0 * const, 0.01), cfg).values
+        a = pcen(FrameFeatures(const, 0.01), cfg).values
+        b = pcen(FrameFeatures(10.0 * const, 0.01), cfg).values
         assert np.max(np.abs(a - b)) < 1e-9
 
     def test_negative_input_rejected(self):
         with pytest.raises(ValidationError):
-            pcen(MelFrames(np.full((3, 2), -1.0), 0.01), CFG)
+            pcen(FrameFeatures(np.full((3, 2), -1.0), 0.01), CFG)
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         E = rng.uniform(0, 2, (30, 128))
-        a = pcen(MelFrames(E, 0.01), CFG).values
-        b = pcen(MelFrames(E.copy(), 0.01), CFG).values
+        a = pcen(FrameFeatures(E, 0.01), CFG).values
+        b = pcen(FrameFeatures(E.copy(), 0.01), CFG).values
         assert np.array_equal(a, b)
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import fsed.autodiff as ad
 import fsed.fewshot as fs
 import fsed.model as M
 from fsed.errors import TaskError
@@ -72,7 +73,7 @@ class TestReconstructNegatives:
                             sed_labels=np.zeros(8, dtype=int),
                             sfbc_labels=np.zeros(8, dtype=int),
                             train_mask=np.ones(8, dtype=int),
-                            window_start_frame=0, source_id="q")
+                            window_start_frame=0)
                 for i in range(n)]
 
     def test_lowest_score_selected(self):
@@ -150,7 +151,7 @@ class TestBuildSupports:
 
 
 class TestTimeFilterAug:
-    SPEC = fs.AugSpec(zones=6, min_zone=48)
+    SPEC = RunConfig(aug_zones=6, aug_min_zone=48)
 
     def test_identity_knots(self):
         rng = np.random.default_rng(8)
@@ -160,7 +161,7 @@ class TestTimeFilterAug:
         assert out == pytest.approx(window, abs=1e-12)
 
     def test_three_frame_ramp_gains(self):
-        spec = fs.AugSpec(zones=1, min_zone=3)
+        spec = RunConfig(aug_zones=1, aug_min_zone=3)
         window = np.ones((3, 2))
         out = fs.time_filter_aug(window, spec, np.random.default_rng(9),
                                  knots=np.array([0.0, 1.0]))
@@ -252,8 +253,10 @@ class TestFinetuneSed:
         def mean_loss():
             vals = []
             for w in sup.support1 + sup.support2:
-                loss, _ = fs._binary_ce(model, w.features, w.sfbc_labels,
-                                        w.train_mask, cfg.win_frames)
+                emb = M.backbone_forward(model, w.features, training=False)
+                loss = ad.masked_softmax_ce(
+                    M.bin_forward(model, emb, cfg.win_frames),
+                    w.sfbc_labels, w.train_mask)
                 vals.append(float(loss.data))
             return float(np.mean(vals))
 
@@ -269,7 +272,7 @@ class TestPseudoLabels:
                             sed_labels=np.zeros(32, dtype=int),
                             sfbc_labels=np.zeros(32, dtype=int),
                             train_mask=np.ones(32, dtype=int),
-                            window_start_frame=32 * i, source_id="q")
+                            window_start_frame=32 * i)
                 for i in range(n)]
 
     @staticmethod
@@ -289,8 +292,8 @@ class TestPseudoLabels:
     def test_unconfident_cycles_skipped(self, monkeypatch):
         model = tiny_model()
         before = model.snapshot()
-        monkeypatch.setattr(fs, "_bin_probs",
-                            lambda m, f, w: np.full(w, 0.5))
+        monkeypatch.setattr(fs, "positive_prob",
+                            lambda logits: np.full(len(logits), 0.5))
         stats = self._refine(model, self._query_windows(), TINY)
         assert stats["cycles_skipped"] == TINY.pseudo_cycles
         assert stats["cycles_run"] == 0
@@ -356,6 +359,30 @@ class TestFrameArithmetic:
         emb_val = fs.shot_embedding(model, features, (40, 48), TINY)
         assert emb_val.shape == (4,)
         assert np.all(np.isfinite(emb_val))
+
+    @staticmethod
+    def _context(n_samples, last_onset_s, last_offset_s):
+        # 690 frames of 256 samples in either clip
+        from fsed.ingest import AnnotationEvent, AudioClip, make_support_task
+
+        rng = np.random.default_rng(16)
+        clip = AudioClip(rng.uniform(-0.1, 0.1, n_samples), 22050)
+        events = [AnnotationEvent(t, t + 0.3, "p") for t in (0.5, 1.5, 2.5, 3.5)]
+        events.append(AnnotationEvent(last_onset_s, last_offset_s, "p"))
+        return fs.build_task_context(clip, make_support_task(clip, events), TINY)
+
+    def test_shot_after_clip_end_rejected(self):
+        with pytest.raises(TaskError, match=r"POS shot at 8\.2 s"):
+            self._context(8 * 22050, 8.2, 8.4)
+
+    def test_shot_after_last_frame_center_rejected(self):
+        # onset inside the audio but after the center of frame 689, the last
+        with pytest.raises(TaskError, match="no frame in the clip"):
+            self._context(176584, 176574 / 22050, 176584 / 22050)
+
+    def test_shot_at_last_frame_accepted(self):
+        ctx = self._context(176584, 176300 / 22050, 176584 / 22050)
+        assert ctx.pos_ranges[-1] == (689, 690)
 
 
 @pytest.fixture(scope="module")

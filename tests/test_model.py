@@ -114,7 +114,7 @@ class TestSelectTcWindow:
                 features=np.zeros((100, 4)), sed_labels=labels,
                 sfbc_labels=(labels != 0).astype(int),
                 train_mask=np.ones(100, dtype=int),
-                window_start_frame=i * 50, source_id="t"))
+                window_start_frame=i * 50))
         return wins
 
     def test_nearest_preceding(self):

@@ -33,7 +33,7 @@ def tiny_windows(seed, n_windows=3, t=32, classes=(1, 2)):
             features=feats, sed_labels=labels,
             sfbc_labels=(labels != 0).astype(int),
             train_mask=np.ones(t, dtype=int),
-            window_start_frame=i * t, source_id=f"clip{i}"))
+            window_start_frame=i * t))
     return wins
 
 
@@ -180,19 +180,30 @@ class TestKFold:
             train.kfold_split(["a", "b"], 5, 0)
 
 
-class TestBestFoldSelection:
-    def test_argmax(self):
-        assert train.select_best_fold_model(["a", "b", "c"], [0.4, 0.7, 0.6]) == "b"
+class TestTrainFoldSelection:
+    """Without a holdout, train_fold returns the lowest-loss epoch's weights."""
 
-    def test_tie_earliest(self):
-        assert train.select_best_fold_model(["a", "b"], [0.7, 0.7]) == "a"
+    @staticmethod
+    def _kept_epoch(monkeypatch, losses):
+        def scripted_epoch(model, corpus, optimizer, cfg, plan, epoch):
+            model.decoder_bin.b.data[:] = epoch  # mark this epoch's weights
+            return {"epoch": epoch, "l1": losses[epoch], "l2": 0.0,
+                    "l_total": losses[epoch], "steps": 1}
 
-    def test_single(self):
-        assert train.select_best_fold_model(["only"], [0.1]) == "only"
+        monkeypatch.setattr(train, "pretrain_epoch", scripted_epoch)
+        corpus = [train.ClipWindows("a", tiny_windows(0, n_windows=1))]
+        plan = train.TrainPlan(epochs=len(losses), kfold=1)
+        model = train.train_fold(corpus, [], TINY, plan, seed=0)
+        return int(model.decoder_bin.b.data[0])
 
-    def test_empty(self):
-        with pytest.raises(ValidationError):
-            train.select_best_fold_model([], [])
+    def test_lowest_loss_epoch_kept(self, monkeypatch):
+        assert self._kept_epoch(monkeypatch, [0.9, 0.3, 0.5]) == 1
+
+    def test_tie_keeps_earliest(self, monkeypatch):
+        assert self._kept_epoch(monkeypatch, [0.9, 0.3, 0.3, 0.5]) == 1
+
+    def test_single_epoch(self, monkeypatch):
+        assert self._kept_epoch(monkeypatch, [0.7]) == 0
 
 
 class TestPrepareCorpus:
