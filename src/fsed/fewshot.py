@@ -35,25 +35,6 @@ class TaskContext:
     neg_ranges: list[tuple[int, int]]
     query_start_frame: int
     query_windows: list[WindowBatch] = field(default_factory=list)
-    # blocks 0-1 output of each query window, valid for models whose
-    # M.prefix_fingerprint is prefix_key (see cache_prefixes)
-    query_prefixes: list[np.ndarray] = field(default_factory=list)
-    prefix_key: bytes = b""
-
-    def cache_prefixes(self, model: M.ModelParams) -> None:
-        """Run blocks 0-1 over every query window once and keep the output."""
-        self.query_prefixes = [M.backbone_prefix(model, w.features).data
-                               for w in self.query_windows]
-        self.prefix_key = M.prefix_fingerprint(model)
-
-    def prefixes(self, model: M.ModelParams):
-        """Blocks 0-1 output per query window under `model`: the cache when
-        it was made with the same blocks 0-1 weights and BN statistics,
-        otherwise computed one window at a time."""
-        if self.prefix_key == M.prefix_fingerprint(model):
-            return self.query_prefixes
-        return (M.backbone_prefix(model, w.features).data
-                for w in self.query_windows)
 
 
 def _time_to_frames(onset_s, offset_s, period) -> tuple[int, int]:
@@ -335,20 +316,24 @@ def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
                  seed: int) -> None:
     """Step 1 of SED fine-tuning: binary POS/NEG training on reconstructed
     supports, jointly with the mixed multi-class task; TimeFilterAug kicks in
-    at cfg.aug_start_iter."""
+    at cfg.aug_start_iter. Blocks 0-1 are not trained here, so base draws and
+    unaugmented support draws start from the window's stored blocks 0-1
+    output (`M.window_prefix`); augmented draws run the whole backbone."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5ED1]))
     pool = supports.support1 + supports.support2
     optimizer = ad.Adam(_trainable(model, SED_TRAINABLE), lr=cfg.lr_sed)
+    key = M.prefix_fingerprint(model)
     win = cfg.win_frames
     for it in range(cfg.iters):
         optimizer.zero_grad()
         losses = []
         for _ in range(cfg.finetune_batch):
             w = pool[int(rng.integers(len(pool)))]
-            feats = w.features
             if cfg.use_aug and it >= cfg.aug_start_iter:
-                feats = time_filter_aug(feats, cfg, rng)
-            emb = M.backbone_forward(model, feats, training=False)
+                emb = M.backbone_forward(model, time_filter_aug(w.features, cfg, rng),
+                                         training=False)
+            else:
+                emb = M.backbone_suffix(model, M.window_prefix(model, w, key))
             losses.append(ad.masked_softmax_ce(M.bin_forward(model, emb, win),
                                                w.sfbc_labels, w.train_mask))
             # mixed multi-class task: support POS frames count as class 0
@@ -357,7 +342,7 @@ def finetune_sed(model: M.ModelParams, supports: ReconstructedSupports,
                 sed_logits, np.zeros(win, dtype=np.int64), w.sfbc_labels))
         if base_windows:
             bw = base_windows[int(rng.integers(len(base_windows)))]
-            emb = M.backbone_forward(model, bw.features, training=False)
+            emb = M.backbone_suffix(model, M.window_prefix(model, bw, key))
             sed_logits = M.sed_forward(model, emb, win)
             mask = bw.train_mask * (bw.sed_labels != 0)
             if mask.any():
@@ -374,22 +359,22 @@ def positive_prob(logits: np.ndarray) -> np.ndarray:
 
 
 def pseudo_label_refine(model: M.ModelParams, query_windows: list[WindowBatch],
-                        cfg: RunConfig, seed: int,
-                        prefixes: list[np.ndarray]) -> dict:
+                        cfg: RunConfig, seed: int) -> dict:
     """Self-training on confident query frames (p >= hi is POS, p <= lo is
     NEG, the rest masked out). Returns per-cycle statistics.
 
-    Blocks 0-1 are not trained here, so every pass starts from `prefixes`,
-    each query window's blocks 0-1 output (as `TaskContext.cache_prefixes`
-    makes them).
+    Blocks 0-1 are not trained here, so every pass starts from each query
+    window's stored blocks 0-1 output (`M.window_prefix`).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0x95E0]))
     stats = {"cycles_run": 0, "cycles_skipped": 0}
     win = cfg.win_frames
     trainable = _trainable(model, SED_TRAINABLE)
+    key = M.prefix_fingerprint(model)
     for _ in range(cfg.pseudo_cycles):
         labeled = []
-        for w, prefix in zip(query_windows, prefixes):
+        for w in query_windows:
+            prefix = M.window_prefix(model, w, key)
             p = positive_prob(M.bin_forward(
                 model, M.backbone_suffix(model, prefix), win).data)
             labels = (p >= cfg.pseudo_hi).astype(np.int64)
@@ -438,9 +423,10 @@ def finetune_sfbc(model: M.ModelParams, supports: ReconstructedSupports,
     win = cfg.win_frames
     params = _trainable(model, SFBC_TRAINABLE)
     # everything upstream of the decoder is frozen: precompute token features
+    key = M.prefix_fingerprint(model)
     precomputed = []
     for w in supports.support2:
-        emb = M.backbone_forward(model, w.features, training=False)
+        emb = M.backbone_suffix(model, M.window_prefix(model, w, key))
         tokens = M.sfbc_tokens(model, emb, center, cfg.use_transformer)
         precomputed.append((tokens.data, w.sfbc_labels, w.train_mask))
     optimizer = ad.Adam(params, lr=cfg.lr_sfbc)
@@ -467,13 +453,15 @@ def adapt(pretrained: M.ModelParams, clip: AudioClip, task: SupportTask,
     model = clone_model(pretrained)
     _trainable(model, ())  # inference-only until fine-tuning starts
     ctx = build_task_context(clip, task, cfg)
-    # blocks 0-1 stay frozen in eval mode below: scoring, pseudo-label
-    # cycles and detect all start from these
-    ctx.cache_prefixes(model)
     shots = [shot_embedding(model, ctx.features, r, cfg) for r in ctx.pos_ranges]
     center = pos_center(shots)
-    scores = [query_similarity(M.backbone_suffix(model, p).data, center)[1]
-              for p in ctx.query_prefixes]
+    # blocks 0-1 stay frozen in eval mode from here on: scoring, fine-tuning,
+    # pseudo-label cycles and detect share each window's stored prefix
+    key = M.prefix_fingerprint(model)
+    scores = []
+    for w in ctx.query_windows:
+        emb = M.backbone_suffix(model, M.window_prefix(model, w, key)).data
+        scores.append(query_similarity(emb, center)[1])
     quota = max(2, math.ceil(cfg.neg_quota_frac * len(ctx.query_windows)))
     neg_pool = reconstruct_negatives(
         ctx.query_windows, scores, quota,
@@ -483,7 +471,7 @@ def adapt(pretrained: M.ModelParams, clip: AudioClip, task: SupportTask,
                               seed=seed, win=cfg.win_frames)
     graft_background_row(model, center, cfg.graft_mode)
     finetune_sed(model, supports, base_windows or [], cfg, seed)
-    pseudo_label_refine(model, ctx.query_windows, cfg, seed, ctx.query_prefixes)
+    pseudo_label_refine(model, ctx.query_windows, cfg, seed)
     sfbc_center = None
     if cfg.multitask:
         sfbc_center = finetune_sfbc(model, supports, cfg, seed)
@@ -501,8 +489,9 @@ def detect(task_model: TaskModel, ctx: TaskContext) -> np.ndarray:
     t = len(ctx.features)
     acc = np.zeros(t)
     cnt = np.zeros(t)
-    for w, prefix in zip(ctx.query_windows, ctx.prefixes(model)):
-        emb = M.backbone_suffix(model, prefix)
+    key = M.prefix_fingerprint(model)
+    for w in ctx.query_windows:
+        emb = M.backbone_suffix(model, M.window_prefix(model, w, key))
         p = positive_prob(M.bin_forward(model, emb, win).data)
         if cfg.multitask and task_model.sfbc_center is not None:
             tokens = M.sfbc_tokens(model, emb, task_model.sfbc_center,

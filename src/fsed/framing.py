@@ -43,6 +43,10 @@ class WindowBatch:
     window_start_frame: int
     pad_frames: int = 0
     provenance: dict = field(default_factory=dict)
+    # (model.prefix_fingerprint, blocks 0-1 output under that model);
+    # model.window_prefix is its one reader and writer
+    prefix: tuple[bytes, np.ndarray] | None = field(default=None, repr=False,
+                                                    compare=False)
 
     @property
     def valid_frames(self) -> int:

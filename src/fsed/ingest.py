@@ -146,6 +146,14 @@ class RunConfig:
             raise ConfigError("need aug_db_low < aug_db_high")
         if self.embed_dim * 2 % self.heads != 0:
             raise ConfigError("transformer dim (2*embed_dim) must be divisible by heads")
+        # written as not (in range), so that NaN is rejected too
+        if not (0 < self.pcen_s <= 1):
+            raise ConfigError("need 0 < pcen_s <= 1")
+        for key in ("pcen_eps", "pcen_r"):
+            if not (getattr(self, key) > 0):
+                raise ConfigError(f"need {key} > 0")
+        if not (self.pcen_delta >= 0):
+            raise ConfigError("need pcen_delta >= 0")
 
     @property
     def frame_period_s(self) -> float:

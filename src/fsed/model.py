@@ -187,6 +187,16 @@ def prefix_fingerprint(model: ModelParams) -> bytes:
     return h.digest()
 
 
+def window_prefix(model: ModelParams, window: WindowBatch, key: bytes) -> np.ndarray:
+    """Eval-mode blocks 0-1 output of `window` under `model`, whose
+    `prefix_fingerprint` is `key`: the copy stored on the window when it was
+    made under `key`, otherwise computed and stored in its place. The window's
+    features must not change in place once stored."""
+    if window.prefix is None or window.prefix[0] != key:
+        window.prefix = (key, backbone_prefix(model, window.features).data)
+    return window.prefix[1]
+
+
 def sed_forward(model: ModelParams, emb: ad.Tensor, target: int) -> ad.Tensor:
     """Per reduced frame class logits, upsampled to `target` frames."""
     return ad.repeat_upsample(model.decoder_sed(emb), TIME_REDUCTION, target)

@@ -183,7 +183,10 @@ class TestConfigPlumbing:
     @pytest.mark.parametrize("key,value,command", [
         ("mel_bands", 24, "features"), ("mel_bands", 0, "features"),
         ("sample_rate", 0, "synth-data"), ("fmin", 20000, "features"),
-        ("n_fft", 3, "features"), ("fmax", 30000, "features")])
+        ("n_fft", 3, "features"), ("fmax", 30000, "features"),
+        ("pcen_s", 2, "features"), ("pcen_s", "nan", "features"),
+        ("pcen_delta", -5, "features"), ("pcen_eps", 0, "features"),
+        ("pcen_r", -1, "features")])
     def test_unusable_value_exits_one(self, tmp_path, capsys, key, value, command):
         wav = tmp_path / "a.wav"
         write_wav(wav, AudioClip(np.zeros(4410), 22050))

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -277,8 +278,7 @@ class TestPseudoLabels:
 
     @staticmethod
     def _refine(model, windows, cfg):
-        prefixes = [M.backbone_prefix(model, w.features).data for w in windows]
-        return fs.pseudo_label_refine(model, windows, cfg, 0, prefixes)
+        return fs.pseudo_label_refine(model, windows, cfg, 0)
 
     def test_zero_cycles_unchanged(self):
         cfg = dataclasses.replace(TINY, pseudo_cycles=0)
@@ -405,7 +405,8 @@ class TestQueryPrefixCache:
     def test_detect_with_cache_equals_fresh_context(self, adapted, monkeypatch):
         clip, task, tm, ctx = adapted
         fresh = fs.detect(tm, fs.build_task_context(clip, task, TINY))
-        assert len(ctx.query_prefixes) == len(ctx.query_windows) > 1
+        assert sum(w.prefix is not None for w in ctx.query_windows) == \
+            len(ctx.query_windows) > 1
 
         def no_prefix(*args, **kwargs):
             raise AssertionError("cached prefixes not used")
@@ -416,6 +417,7 @@ class TestQueryPrefixCache:
     @pytest.mark.parametrize("name", ["block0.w", "block1.bn_state"])
     def test_stale_cache_ignored(self, adapted, name):
         clip, task, tm, ctx = adapted
+        ctx = copy.deepcopy(ctx)  # detect under `changed` refills the slots
         model = fs.clone_model(tm.model)
         if name == "block0.w":
             model.blocks[0].w.data[0, 0, 1, 1] += 0.25
@@ -432,13 +434,10 @@ class TestQueryPrefixCache:
         cfg = dataclasses.replace(TINY, pseudo_cycles=2, pseudo_iters=3,
                                   pseudo_hi=0.5, pseudo_lo=0.5)
         with_cache, without = fs.clone_model(tm.model), fs.clone_model(tm.model)
-        stats = fs.pseudo_label_refine(with_cache, ctx.query_windows, cfg, 4,
-                                       ctx.query_prefixes)
+        stats = fs.pseudo_label_refine(with_cache, ctx.query_windows, cfg, 4)
         # without the cache: each window's prefix computed afresh
-        fresh = [M.backbone_prefix(without, w.features).data
-                 for w in ctx.query_windows]
-        assert stats == fs.pseudo_label_refine(without, ctx.query_windows, cfg, 4,
-                                               fresh)
+        fresh = [dataclasses.replace(w, prefix=None) for w in ctx.query_windows]
+        assert stats == fs.pseudo_label_refine(without, fresh, cfg, 4)
         assert stats["cycles_run"] == 2
         a, b = with_cache.state_arrays(), without.state_arrays()
         assert all(a[k].tobytes() == b[k].tobytes() for k in a)
@@ -449,3 +448,135 @@ class TestQueryPrefixCache:
         # the cache is exact only while no fine-tuning stage trains blocks 0-1
         for prefix in M.PREFIX_PARAMS:
             assert not prefix.startswith(fs.SED_TRAINABLE + fs.SFBC_TRAINABLE)
+
+
+def _tiny_base_windows(n=2, seed=7):
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        labels = np.zeros(32, dtype=np.int64)
+        labels[4 + 6 * i:20 + 6 * i] = 1 + i % 2
+        out.append(WindowBatch(features=rng.uniform(0, 1, (32, 16)),
+                               sed_labels=labels,
+                               sfbc_labels=(labels != 0).astype(np.int64),
+                               train_mask=np.ones(32, dtype=np.int64),
+                               window_start_frame=32 * i))
+    return out
+
+
+def _fill(windows, model, poison=False):
+    """Fill every window's prefix slot under `model`'s fingerprint, with the
+    true blocks 0-1 output or (poison) a constant of the same shape."""
+    key = M.prefix_fingerprint(model)
+    for w in windows:
+        prefix = M.window_prefix(model, w, key)
+        if poison:
+            w.prefix = (key, np.full_like(prefix, 3.0))
+
+
+def _same_state(a, b) -> bool:
+    a, b = a.state_arrays(), b.state_arrays()
+    return a.keys() == b.keys() and all(a[k].tobytes() == b[k].tobytes() for k in a)
+
+
+class TestPrefixStore:
+    """Each window's blocks 0-1 output is stored on the window under the
+    model's prefix fingerprint; readers must give the same bytes as a fresh
+    computation."""
+
+    CFG = dataclasses.replace(TINY, iters=6, aug_start_iter=3)
+
+    def _sed_run(self, cfg, fill_with=None, poison=False):
+        model = tiny_model()
+        sup, base = _tiny_supports(), _tiny_base_windows()
+        if fill_with is not None:
+            _fill(sup.support1 + sup.support2 + base, fill_with, poison)
+        fs.finetune_sed(model, sup, base, cfg, seed=1)
+        return model, sup, base
+
+    def test_finetune_sed_same_from_filled_slots(self):
+        empty, sup, base = self._sed_run(self.CFG)
+        assert all(w.prefix is not None for w in base)
+        filled, _, _ = self._sed_run(self.CFG, fill_with=tiny_model())
+        assert _same_state(empty, filled)
+
+    def test_finetune_sfbc_same_from_filled_slots(self):
+        runs = []
+        for fill in (False, True):
+            model, sup = tiny_model(), _tiny_supports(4)
+            if fill:
+                _fill(sup.support2, tiny_model())
+            runs.append((model, fs.finetune_sfbc(model, sup, TINY, seed=5)))
+        (a, ca), (b, cb) = runs
+        assert ca.tobytes() == cb.tobytes()
+        assert _same_state(a, b)
+
+    @pytest.mark.parametrize("name", ["block0.w", "block1.bn_state"])
+    def test_slot_of_other_fingerprint_recomputed(self, name):
+        other = tiny_model()
+        if name == "block0.w":
+            other.blocks[0].w.data[0, 0, 1, 1] += 0.25
+        else:
+            other.blocks[1].bn_state.running_mean = (
+                other.blocks[1].bn_state.running_mean + 0.25)
+        model = tiny_model()
+        key = M.prefix_fingerprint(model)
+        assert M.prefix_fingerprint(other) != key
+        w = _tiny_base_windows(1)[0]
+        stale = M.window_prefix(other, w, M.prefix_fingerprint(other)).copy()
+        got = M.window_prefix(model, w, key)
+        want = M.backbone_prefix(model, w.features).data
+        assert got.tobytes() == want.tobytes() != stale.tobytes()
+        assert w.prefix[0] == key
+        # a whole stage over slots filled under `other`
+        empty, _, _ = self._sed_run(self.CFG)
+        refilled, _, _ = self._sed_run(self.CFG, fill_with=other)
+        assert _same_state(empty, refilled)
+
+    def test_augmented_draws_never_read_store(self, monkeypatch):
+        # augmented from the first iteration and no base windows: no draw
+        # may start from a slot, even a poisoned one under the right key
+        cfg = dataclasses.replace(self.CFG, use_aug=True, aug_start_iter=0)
+        clean = tiny_model()
+        fs.finetune_sed(clean, _tiny_supports(), [], cfg, seed=1)
+        model, sup = tiny_model(), _tiny_supports()
+        _fill(sup.support1 + sup.support2, model, poison=True)
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("augmented draw read the prefix store")
+
+        monkeypatch.setattr(M, "window_prefix", no_store)
+        fs.finetune_sed(model, sup, [], cfg, seed=1)
+        assert _same_state(clean, model)
+
+    def test_poisoned_slots_are_read_without_aug(self):
+        # the converse: unaugmented draws do start from the slot, so the
+        # poison reaches the weights
+        cfg = dataclasses.replace(self.CFG, use_aug=False)
+        clean, _, _ = self._sed_run(cfg)
+        poisoned, _, _ = self._sed_run(cfg, fill_with=tiny_model(), poison=True)
+        assert not _same_state(clean, poisoned)
+
+    def test_base_prefixes_computed_once_across_tasks(self, adapted, monkeypatch):
+        clip, task, _, _ = adapted
+        base = _tiny_base_windows()
+        calls = {id(w.features): 0 for w in base}
+        draws = [0]
+        prefix, store = M.backbone_prefix, M.window_prefix
+
+        def counting_prefix(model, window, *args, **kwargs):
+            if id(window) in calls:
+                calls[id(window)] += 1
+            return prefix(model, window, *args, **kwargs)
+
+        def counting_store(model, window, key):
+            draws[0] += any(window is w for w in base)
+            return store(model, window, key)
+
+        monkeypatch.setattr(M, "backbone_prefix", counting_prefix)
+        monkeypatch.setattr(M, "window_prefix", counting_store)
+        pretrained = tiny_model(seed=6)
+        for seed in (2, 3):
+            fs.adapt(pretrained, clip, task, TINY, seed, base_windows=base)
+        assert draws[0] == 2 * TINY.iters > len(base)
+        assert all(n <= 1 for n in calls.values()), calls
